@@ -1,7 +1,10 @@
 #include "crypto/ecdsa.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
+#include <utility>
 
 #include "crypto/sha256.h"
 
@@ -120,20 +123,21 @@ U256 rfc6979_nonce(const U256& secret, const util::Hash256& digest, std::uint32_
   U256 z = sc.reduce(U256::from_be_bytes(digest.span()));
   auto h1 = z.to_be_bytes();
 
-  util::Bytes v(32, 0x01);
-  util::Bytes k(32, 0x00);
+  util::Hash256 v;
+  v.data.fill(0x01);
+  util::Hash256 k;
 
   auto mac = [&](std::uint8_t sep, bool with_material) {
-    util::Bytes msg(v.begin(), v.end());
-    msg.push_back(sep);
+    // V || sep, then x || h1 on the keying steps.
+    std::array<std::uint8_t, 97> msg;
+    std::copy(v.data.begin(), v.data.end(), msg.begin());
+    msg[32] = sep;
     if (with_material) {
-      msg.insert(msg.end(), x.data.begin(), x.data.end());
-      msg.insert(msg.end(), h1.data.begin(), h1.data.end());
+      std::copy(x.data.begin(), x.data.end(), msg.begin() + 33);
+      std::copy(h1.data.begin(), h1.data.end(), msg.begin() + 65);
     }
-    auto out = hmac_sha256(util::ByteSpan(k.data(), k.size()), util::ByteSpan(msg.data(), msg.size()));
-    k.assign(out.data.begin(), out.data.end());
-    out = hmac_sha256(util::ByteSpan(k.data(), k.size()), util::ByteSpan(v.data(), v.size()));
-    v.assign(out.data.begin(), out.data.end());
+    k = hmac_sha256(k.span(), util::ByteSpan(msg.data(), with_material ? 97 : 33));
+    v = hmac_sha256(k.span(), v.span());
   };
 
   mac(0x00, true);
@@ -141,9 +145,8 @@ U256 rfc6979_nonce(const U256& secret, const util::Hash256& digest, std::uint32_
 
   std::uint32_t produced = 0;
   for (;;) {
-    auto t = hmac_sha256(util::ByteSpan(k.data(), k.size()), util::ByteSpan(v.data(), v.size()));
-    v.assign(t.data.begin(), t.data.end());
-    U256 candidate = U256::from_be_bytes(util::ByteSpan(v.data(), v.size()));
+    v = hmac_sha256(k.span(), v.span());
+    U256 candidate = U256::from_be_bytes(v.span());
     if (!candidate.is_zero() && candidate < curve_order()) {
       if (produced == counter) return candidate;
       ++produced;
@@ -236,7 +239,7 @@ bool batch_verify(const std::vector<BatchVerifyEntry>& entries) {
   scalars.reserve(n + 8);
   points.reserve(n + 8);
   U256 g_coeff(0);
-  std::map<util::Bytes, std::pair<AffinePoint, U256>> pubkey_terms;
+  std::map<std::pair<U256, U256>, U256> pubkey_terms;  // (x, y) -> Σ c_i·u2_i
   for (std::size_t i = 0; i < n; ++i) {
     const auto& e = entries[i];
     Sha256 ci_hash;
@@ -254,15 +257,14 @@ bool batch_verify(const std::vector<BatchVerifyEntry>& entries) {
     g_coeff = sc.add(g_coeff, sc.mul(c, sc.mul(z, sinv[i])));
     scalars.push_back(c);
     points.push_back(e.big_r);
-    auto& term = pubkey_terms[e.pubkey.compressed()];
-    term.first = e.pubkey;
-    term.second = sc.add(term.second, sc.mul(c, sc.mul(e.sig.r, sinv[i])));
+    U256& term = pubkey_terms[{e.pubkey.x, e.pubkey.y}];
+    term = sc.add(term, sc.mul(c, sc.mul(e.sig.r, sinv[i])));
   }
   scalars.push_back(sc.neg(g_coeff));
   points.push_back(generator());
-  for (const auto& [bytes, term] : pubkey_terms) {
-    scalars.push_back(sc.neg(term.second));
-    points.push_back(term.first);
+  for (const auto& [xy, term] : pubkey_terms) {
+    scalars.push_back(sc.neg(term));
+    points.push_back(AffinePoint::make(xy.first, xy.second));
   }
 
   return multi_mul(scalars, points).infinity;

@@ -118,10 +118,7 @@ bool schnorr_verify(const XOnlyPublicKey& pubkey, const util::Hash256& message,
       sc.reduce(U256::from_be_bytes(tagged_hash("BIP0340/challenge", challenge_input).span()));
 
   // R = s*G - e*P.
-  JacobianPoint sg = JacobianPoint::from_affine(generator_mul(sig.s));
-  AffinePoint ep = scalar_mul(e, *p);
-  AffinePoint neg_ep = ep.infinity ? ep : AffinePoint::make(ep.x, f.neg(ep.y));
-  AffinePoint r_point = sg.add_affine(neg_ep).to_affine();
+  AffinePoint r_point = double_mul(sig.s, sc.neg(e), *p);
   if (r_point.infinity) return false;
   if (r_point.y.is_odd()) return false;
   return r_point.x == sig.r;

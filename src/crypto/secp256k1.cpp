@@ -1,5 +1,6 @@
 #include "crypto/secp256k1.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -103,17 +104,20 @@ JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
 JacobianPoint JacobianPoint::doubled() const {
   const ModCtx& f = field_ctx();
   if (is_infinity() || y.is_zero()) return infinity_point();
-  // dbl-2009-l formulas (a = 0).
+  // dbl-2009-l formulas (a = 0); the small multiples are field additions.
   U256 a = f.sqr(x);
   U256 b = f.sqr(y);
   U256 c = f.sqr(b);
-  U256 d = f.mul(U256(2), f.sub(f.sqr(f.add(x, b)), f.add(a, c)));
-  U256 e = f.mul(U256(3), a);
-  U256 ff = f.sqr(e);
-  U256 x3 = f.sub(ff, f.mul(U256(2), d));
-  U256 y3 = f.sub(f.mul(e, f.sub(d, x3)), f.mul(U256(8), c));
-  U256 z3 = f.mul(U256(2), f.mul(y, z));
-  return JacobianPoint{x3, y3, z3};
+  U256 d = f.sub(f.sqr(f.add(x, b)), f.add(a, c));
+  d = f.add(d, d);
+  U256 e = f.add(f.add(a, a), a);
+  U256 x3 = f.sub(f.sqr(e), f.add(d, d));
+  U256 c8 = f.add(c, c);
+  c8 = f.add(c8, c8);
+  c8 = f.add(c8, c8);
+  U256 y3 = f.sub(f.mul(e, f.sub(d, x3)), c8);
+  U256 yz = f.mul(y, z);
+  return JacobianPoint{x3, y3, f.add(yz, yz)};
 }
 
 JacobianPoint JacobianPoint::add(const JacobianPoint& other) const {
@@ -132,82 +136,159 @@ JacobianPoint JacobianPoint::add(const JacobianPoint& other) const {
     return infinity_point();
   }
   U256 h = f.sub(u2, u1);
-  U256 i = f.sqr(f.mul(U256(2), h));
+  U256 i = f.sqr(f.add(h, h));
   U256 j = f.mul(h, i);
-  U256 r = f.mul(U256(2), f.sub(s2, s1));
+  U256 r = f.sub(s2, s1);
+  r = f.add(r, r);
   U256 v = f.mul(u1, i);
-  U256 x3 = f.sub(f.sub(f.sqr(r), j), f.mul(U256(2), v));
-  U256 y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(U256(2), f.mul(s1, j)));
+  U256 x3 = f.sub(f.sub(f.sqr(r), j), f.add(v, v));
+  U256 s1j = f.mul(s1, j);
+  U256 y3 = f.sub(f.mul(r, f.sub(v, x3)), f.add(s1j, s1j));
   U256 z3 = f.mul(f.sub(f.sqr(f.add(z, other.z)), f.add(z1z1, z2z2)), h);
   return JacobianPoint{x3, y3, z3};
 }
 
 JacobianPoint JacobianPoint::add_affine(const AffinePoint& other) const {
   if (other.infinity) return *this;
-  return add(from_affine(other));
-}
-
-AffinePoint JacobianPoint::to_affine() const {
-  if (is_infinity()) return AffinePoint{};
+  if (is_infinity()) return from_affine(other);
   const ModCtx& f = field_ctx();
-  U256 zinv = f.inv(z);
-  U256 zinv2 = f.sqr(zinv);
-  U256 zinv3 = f.mul(zinv2, zinv);
-  return AffinePoint::make(f.mul(x, zinv2), f.mul(y, zinv3));
-}
-
-AffinePoint scalar_mul(const U256& k, const AffinePoint& p) {
-  U256 kr = scalar_ctx().reduce(k);
-  JacobianPoint acc = JacobianPoint::infinity_point();
-  JacobianPoint base = JacobianPoint::from_affine(p);
-  int bits = kr.bit_length();
-  for (int i = bits - 1; i >= 0; --i) {
-    acc = acc.doubled();
-    if (kr.bit(i)) acc = acc.add(base);
+  // madd-2007-bl formulas (Z2 = 1).
+  U256 z1z1 = f.sqr(z);
+  U256 u2 = f.mul(other.x, z1z1);
+  U256 s2 = f.mul(other.y, f.mul(z, z1z1));
+  U256 h = f.sub(u2, x);
+  U256 r = f.sub(s2, y);
+  if (h.is_zero()) {
+    if (r.is_zero()) return doubled();
+    return infinity_point();
   }
-  return acc.to_affine();
+  r = f.add(r, r);
+  U256 hh = f.sqr(h);
+  U256 i = f.add(hh, hh);
+  i = f.add(i, i);
+  U256 j = f.mul(h, i);
+  U256 v = f.mul(x, i);
+  U256 x3 = f.sub(f.sub(f.sqr(r), j), f.add(v, v));
+  U256 yj = f.mul(y, j);
+  U256 y3 = f.sub(f.mul(r, f.sub(v, x3)), f.add(yj, yj));
+  U256 z3 = f.sub(f.sub(f.sqr(f.add(z, h)), z1z1), hh);
+  return JacobianPoint{x3, y3, z3};
 }
 
 namespace {
 
-// Fixed-window table for G: table[w][v] = (v+1) * 16^w * G for v in [0,15).
-const std::vector<std::vector<JacobianPoint>>& generator_table() {
-  static const std::vector<std::vector<JacobianPoint>> table = [] {
-    std::vector<std::vector<JacobianPoint>> t(64);
+/// Entries per window table: v·P for v = 1..15, at index v − 1.
+constexpr std::size_t kWindow = 15;
+/// multi_mul runs the ladder below this many points and Pippenger from it on;
+/// on the host the two tie near 48–56 points of batch-verification shape
+/// (128-bit scalars plus two full ones), see DESIGN.md §13.
+constexpr std::size_t kLadderMaxPoints = 48;
+
+/// Converts `in` to affine with one field inversion (Montgomery's trick).
+std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& in) {
+  const ModCtx& f = field_ctx();
+  std::vector<U256> prefix(in.size() + 1, U256(1));
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    prefix[i + 1] = in[i].is_infinity() ? prefix[i] : f.mul(prefix[i], in[i].z);
+  }
+  U256 inv = f.inv(prefix.back());
+  std::vector<AffinePoint> out(in.size());
+  for (std::size_t i = in.size(); i-- > 0;) {
+    if (in[i].is_infinity()) continue;
+    U256 zinv = f.mul(inv, prefix[i]);
+    inv = f.mul(inv, in[i].z);
+    U256 zinv2 = f.sqr(zinv);
+    out[i] = AffinePoint::make(f.mul(in[i].x, zinv2), f.mul(in[i].y, f.mul(zinv2, zinv)));
+  }
+  return out;
+}
+
+}  // namespace
+
+AffinePoint JacobianPoint::to_affine() const { return batch_to_affine({*this})[0]; }
+
+namespace {
+
+// Fixed-window table for G, affine: entry 15w + v − 1 is v * 16^w * G for v
+// in [1, 16). Row 0 doubles as G's ladder table.
+const std::vector<AffinePoint>& generator_table() {
+  static const std::vector<AffinePoint> table = [] {
+    std::vector<JacobianPoint> t;
+    t.reserve(64 * kWindow);
     JacobianPoint window_base = JacobianPoint::from_affine(generator());
     for (int w = 0; w < 64; ++w) {
-      t[w].reserve(15);
       JacobianPoint cur = window_base;
-      for (int v = 0; v < 15; ++v) {
-        t[w].push_back(cur);
+      for (std::size_t v = 0; v < kWindow; ++v) {
+        t.push_back(cur);
         cur = cur.add(window_base);
       }
       window_base = cur;  // 16^(w+1) * G
     }
-    return t;
+    return batch_to_affine(t);
   }();
   return table;
 }
 
+unsigned nibble(const U256& k, int w) {
+  return static_cast<unsigned>((k.limb[w / 16] >> (4 * (w % 16))) & 0xf);
+}
+
+/// Σ scalars[i]·points[i] + g_scalar·G by one interleaved (Strauss–Shamir)
+/// ladder: 4 doublings per 4-bit window shared by every term, then one mixed
+/// addition per term with a nonzero digit. Each point's table 1P..15P is
+/// built in Jacobian coordinates and normalized, all tables with one
+/// inversion; G uses row 0 of its static table.
+AffinePoint ladder(const U256& g_scalar, const std::vector<U256>& scalars,
+                   const std::vector<AffinePoint>& points) {
+  const ModCtx& sc = scalar_ctx();
+  std::vector<U256> keys;
+  std::vector<JacobianPoint> multiples;
+  keys.reserve(points.size());
+  multiples.reserve(points.size() * kWindow);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    U256 k = sc.reduce(scalars[i]);
+    if (k.is_zero() || points[i].infinity) continue;
+    keys.push_back(k);
+    JacobianPoint p = JacobianPoint::from_affine(points[i]);
+    multiples.push_back(p);
+    multiples.push_back(p.doubled());
+    for (std::size_t v = 2; v < kWindow; ++v) {
+      multiples.push_back(multiples.back().add_affine(points[i]));
+    }
+  }
+  const std::vector<AffinePoint> tables = batch_to_affine(multiples);
+  const U256 g = sc.reduce(g_scalar);
+  const std::vector<AffinePoint>& g_table = generator_table();
+  int top = g.bit_length();
+  for (const U256& k : keys) top = std::max(top, k.bit_length());
+
+  JacobianPoint acc = JacobianPoint::infinity_point();
+  for (int w = (top + 3) / 4 - 1; w >= 0; --w) {
+    for (int i = 0; i < 4; ++i) acc = acc.doubled();
+    if (unsigned d = nibble(g, w)) acc = acc.add_affine(g_table[d - 1]);
+    for (std::size_t t = 0; t < keys.size(); ++t) {
+      if (unsigned d = nibble(keys[t], w)) acc = acc.add_affine(tables[t * kWindow + d - 1]);
+    }
+  }
+  return acc.to_affine();
+}
+
 }  // namespace
+
+AffinePoint scalar_mul(const U256& k, const AffinePoint& p) { return ladder(U256(0), {k}, {p}); }
 
 AffinePoint generator_mul(const U256& k) {
   U256 kr = scalar_ctx().reduce(k);
   const auto& table = generator_table();
   JacobianPoint acc = JacobianPoint::infinity_point();
   for (int w = 0; w < 64; ++w) {
-    unsigned nibble = static_cast<unsigned>((kr.limb[w / 16] >> (4 * (w % 16))) & 0xf);
-    if (nibble != 0) acc = acc.add(table[w][nibble - 1]);
+    if (unsigned d = nibble(kr, w)) acc = acc.add_affine(table[kWindow * w + d - 1]);
   }
   return acc.to_affine();
 }
 
 AffinePoint double_mul(const U256& u1, const U256& u2, const AffinePoint& p) {
-  // Straightforward: two scalar multiplications plus one addition. Shamir's
-  // trick is unnecessary at simulation scale.
-  JacobianPoint a = JacobianPoint::from_affine(generator_mul(u1));
-  JacobianPoint b = JacobianPoint::from_affine(scalar_mul(u2, p));
-  return a.add(b).to_affine();
+  return ladder(u1, {u2}, {p});
 }
 
 AffinePoint multi_mul(const std::vector<U256>& scalars, const std::vector<AffinePoint>& points) {
@@ -215,8 +296,7 @@ AffinePoint multi_mul(const std::vector<U256>& scalars, const std::vector<Affine
     throw std::invalid_argument("multi_mul: size mismatch");
   }
   const std::size_t n = scalars.size();
-  if (n == 0) return AffinePoint{};
-  if (n == 1) return scalar_mul(scalars[0], points[0]);
+  if (n < kLadderMaxPoints) return ladder(U256(0), scalars, points);
 
   const ModCtx& sc = scalar_ctx();
   std::vector<U256> reduced;

@@ -61,20 +61,24 @@ struct JacobianPoint {
 /// The generator point G.
 const AffinePoint& generator();
 
-/// Scalar multiplication k * P (double-and-add; not constant time).
+/// Scalar multiplication k * P: a 4-bit-window ladder over an affine table
+/// of 1P..15P (not constant time).
 AffinePoint scalar_mul(const U256& k, const AffinePoint& p);
 
 /// k * G with a precomputed window table for the generator.
 AffinePoint generator_mul(const U256& k);
 
-/// u1*G + u2*P, the ECDSA verification combination.
+/// u1*G + u2*P, the ECDSA verification combination: one interleaved
+/// (Strauss–Shamir) 4-bit-window ladder over G's static table and P's table,
+/// sharing its 256 doublings between both terms.
 AffinePoint double_mul(const U256& u1, const U256& u2, const AffinePoint& p);
 
 /// Multi-scalar multiplication Σ scalars[i] * points[i] (scalars reduced mod
-/// the group order) via windowed bucket accumulation (Pippenger). For large
-/// batches this costs a small number of group operations per term instead of
-/// a full double-and-add ladder each — the primitive behind batched signature
-/// verification. Requires scalars.size() == points.size().
+/// the group order) — the primitive behind batched signature verification.
+/// Small batches run the interleaved ladder of double_mul; larger ones use
+/// windowed bucket accumulation (Pippenger), which costs a few group
+/// operations per term instead of a window table and ladder additions each.
+/// Requires scalars.size() == points.size().
 AffinePoint multi_mul(const std::vector<U256>& scalars, const std::vector<AffinePoint>& points);
 
 }  // namespace icbtc::crypto

@@ -35,16 +35,6 @@ AffinePoint apply_tweak(const AffinePoint& master_pubkey, const U256& tweak) {
   JacobianPoint p = JacobianPoint::from_affine(master_pubkey);
   return p.add_affine(generator_mul(tweak)).to_affine();
 }
-
-util::Bytes path_cache_key(const DerivationPath& path) {
-  util::Bytes key;
-  for (const auto& component : path) {
-    auto len = static_cast<std::uint32_t>(component.size());
-    for (int b = 0; b < 4; ++b) key.push_back(static_cast<std::uint8_t>(len >> (8 * b)));
-    key.insert(key.end(), component.begin(), component.end());
-  }
-  return key;
-}
 }  // namespace
 
 U256 derivation_tweak(const AffinePoint& master_pubkey, const DerivationPath& path) {
@@ -269,23 +259,21 @@ void ThresholdEcdsaService::set_tracer(obs::Tracer* tracer) {
 
 ThresholdEcdsaService::DerivedKey ThresholdEcdsaService::derived_for(
     const DerivationPath& path) const {
-  if (!config_.cache_derived_keys) {
-    DerivedKey d;
-    d.tweak = derivation_tweak(dealer_.master_public_key(), path);
-    d.pubkey = apply_tweak(dealer_.master_public_key(), d.tweak);
-    return d;
-  }
-  util::Bytes key = path_cache_key(path);
-  {
-    std::lock_guard<std::mutex> lk(derived_mu_);
-    auto it = derived_cache_.find(key);
-    if (it != derived_cache_.end()) return it->second;
-  }
   DerivedKey d;
   d.tweak = derivation_tweak(dealer_.master_public_key(), path);
+  if (config_.cache_derived_keys) {
+    std::lock_guard<std::mutex> lk(derived_mu_);
+    auto it = derived_cache_.find(d.tweak);
+    if (it != derived_cache_.end()) {
+      d.pubkey = it->second;
+      return d;
+    }
+  }
   d.pubkey = apply_tweak(dealer_.master_public_key(), d.tweak);
-  std::lock_guard<std::mutex> lk(derived_mu_);
-  derived_cache_.emplace(std::move(key), d);
+  if (config_.cache_derived_keys) {
+    std::lock_guard<std::mutex> lk(derived_mu_);
+    derived_cache_.emplace(d.tweak, d.pubkey);
+  }
   return d;
 }
 

@@ -200,8 +200,9 @@ struct ThresholdEcdsaServiceConfig {
   /// Compute refill batches on the process-wide parallel::ThreadPool when
   /// one is installed.
   bool parallel_refill = true;
-  /// Cache (tweak, derived pubkey) per derivation path. Contracts sign many
-  /// times under one path; the derivation costs a point multiplication.
+  /// Cache each derivation path's public key, keyed by the path's tweak.
+  /// Contracts sign many times under one path; the derivation costs a point
+  /// multiplication, the tweak one hash.
   bool cache_derived_keys = true;
 };
 
@@ -295,7 +296,7 @@ class ThresholdEcdsaService {
   std::unique_ptr<PresignaturePool> pool_;
 
   mutable std::mutex derived_mu_;
-  mutable std::map<util::Bytes, DerivedKey> derived_cache_;
+  mutable std::map<U256, AffinePoint> derived_cache_;  // tweak -> derived public key
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

@@ -1,5 +1,7 @@
 #include "crypto/u256.h"
 
+#include <algorithm>
+
 namespace icbtc::crypto {
 
 U256 U256::from_be_bytes(util::ByteSpan b) {
@@ -127,41 +129,70 @@ ModCtx::ModCtx(const U256& modulus) : m_(modulus) {
   // 2^256 mod m == (0 - m) mod 2^256 when 2^255 <= m < 2^256.
   U256 zero;
   U256::sub_with_borrow(zero, m_, k_);
+  k_limbs_ = static_cast<std::size_t>(k_.bit_length() + 63) / 64;
 }
 
 U256 ModCtx::reduce(const U256& a) const {
-  U256 out = a;
-  while (out >= m_) out = out - m_;
-  return out;
+  // a < 2^256 < 2m, so one conditional subtraction suffices.
+  U256 less;
+  return U256::sub_with_borrow(a, m_, less) ? a : less;
 }
 
-U256 ModCtx::reduce512(const U512& a) const {
-  // Fold: value = hi * 2^256 + lo == hi * k + lo (mod m). Because k < 2^130
-  // for secp256k1's p and n, a handful of folds collapses the value below
-  // 2^256 + small, after which conditional subtraction finishes the job.
-  U256 lo = a.lo();
-  U256 hi = a.hi();
-  while (!hi.is_zero()) {
-    U512 folded = mul_full(hi, k_);
-    std::uint64_t carry = U256::add_with_carry(folded.lo(), lo, lo);
-    U256 new_hi = folded.hi();
-    if (carry) {
-      U256 one(1);
-      U256::add_with_carry(new_hi, one, new_hi);  // cannot overflow: hi*k >> 2^256
+namespace {
+
+// lo + hi * k for lo = v[0..4), hi = v[4..4+H) and the K low limbs of k.
+// hi * k + lo < 2^(256 + 64K) for H <= 4, so the result fits in 4 + K limbs.
+template <std::size_t H, std::size_t K>
+std::array<std::uint64_t, 4 + K> fold(const std::uint64_t* v, const U256& k) {
+  std::array<std::uint64_t, 4 + K> r{};
+  for (std::size_t i = 0; i < H; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < K; ++j) {
+      unsigned __int128 cur =
+          static_cast<unsigned __int128>(v[4 + i]) * k.limb[j] + r[i + j] + carry;
+      r[i + j] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
     }
-    hi = new_hi;
+    r[i + K] = carry;
   }
-  return reduce(lo);
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < 4 + K; ++i) {
+    carry += static_cast<unsigned __int128>(r[i]) + (i < 4 ? v[i] : 0);
+    r[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return r;
+}
+
+// A value below 2^256 congruent to a: value = hi * 2^256 + lo == hi * k + lo
+// (mod m), where k = 2^256 mod m has K significant limbs, so each fold
+// multiplies by those K limbs only and leaves a high part of at most K limbs.
+// For p (k < 2^33) the first fold leaves a high limb below 2^34 and the
+// second at most a carry of one; for n (k < 2^129) three or four folds do.
+template <std::size_t K>
+U256 fold_all(const U512& a, const U256& k) {
+  std::array<std::uint64_t, 4 + K> t = fold<4, K>(a.limb.data(), k);
+  while (std::any_of(t.begin() + 4, t.end(), [](std::uint64_t l) { return l != 0; })) {
+    t = fold<K, K>(t.data(), k);
+  }
+  return U256(t[0], t[1], t[2], t[3]);
+}
+
+}  // namespace
+
+U256 ModCtx::reduce512(const U512& a) const {
+  switch (k_limbs_) {
+    case 1: return reduce(fold_all<1>(a, k_));
+    case 2: return reduce(fold_all<2>(a, k_));
+    case 3: return reduce(fold_all<3>(a, k_));
+    default: return reduce(fold_all<4>(a, k_));
+  }
 }
 
 U256 ModCtx::add(const U256& a, const U256& b) const {
   U256 r;
-  std::uint64_t carry = U256::add_with_carry(a, b, r);
-  if (carry) {
-    // r represents a+b-2^256; add k (= 2^256 mod m) to fold the carry back.
-    std::uint64_t c2 = U256::add_with_carry(r, k_, r);
-    (void)c2;  // a,b < m < 2^256 so a+b < 2m; one fold suffices
-  }
+  // A carry stands for 2^256 == k (mod m); a, b < m keep r + k below 2^256.
+  if (U256::add_with_carry(a, b, r)) U256::add_with_carry(r, k_, r);
   return reduce(r);
 }
 
@@ -191,9 +222,34 @@ U256 ModCtx::pow(const U256& base, const U256& exp) const {
 }
 
 U256 ModCtx::inv(const U256& a) const {
-  if (reduce(a).is_zero()) throw std::domain_error("ModCtx::inv: zero has no inverse");
-  U256 two(2);
-  return pow(a, m_ - two);
+  U256 u = reduce(a);
+  if (u.is_zero()) throw std::domain_error("ModCtx::inv: zero has no inverse");
+  // Binary extended Euclid, keeping x1 * a == u and x2 * a == v (mod m).
+  // Halving u or v halves its x: x / 2 mod m is (x + m) / 2 for odd x.
+  U256 v = m_;
+  U256 x1(1), x2(0);
+  auto halve = [this](U256& w, U256& x) {
+    while (!w.is_odd()) {
+      w = w.shifted_right(1);
+      std::uint64_t carry = x.is_odd() ? U256::add_with_carry(x, m_, x) : 0;
+      x = x.shifted_right(1);
+      x.limb[3] |= carry << 63;
+    }
+  };
+  const U256 one(1);
+  while (u != one && v != one) {
+    halve(u, x1);
+    halve(v, x2);
+    if (u >= v) {
+      u = u - v;
+      x1 = sub(x1, x2);
+      if (u.is_zero()) throw std::domain_error("ModCtx::inv: value shares a factor with m");
+    } else {
+      v = v - u;
+      x2 = sub(x2, x1);
+    }
+  }
+  return u == one ? x1 : x2;
 }
 
 }  // namespace icbtc::crypto

@@ -78,7 +78,8 @@ U256 udiv(const U256& a, const U256& b);
 
 /// Modular-arithmetic context for a fixed modulus m > 2^255. Precomputes
 /// k = 2^256 mod m so 512-bit values reduce with a few folds instead of long
-/// division.
+/// division; each fold multiplies only k's significant limbs (one for the
+/// secp256k1 field prime, three for the group order).
 class ModCtx {
  public:
   explicit ModCtx(const U256& modulus);
@@ -93,13 +94,15 @@ class ModCtx {
   U256 mul(const U256& a, const U256& b) const;
   U256 sqr(const U256& a) const { return mul(a, a); }
   U256 pow(const U256& base, const U256& exp) const;
-  /// Multiplicative inverse via Fermat's little theorem; modulus must be
-  /// prime. Throws std::domain_error for a == 0.
+  /// Multiplicative inverse by the binary extended Euclidean algorithm
+  /// (variable time); the modulus must be an odd prime. Throws
+  /// std::domain_error for a ≡ 0.
   U256 inv(const U256& a) const;
 
  private:
   U256 m_;
-  U256 k_;  // 2^256 mod m
+  U256 k_;                   // 2^256 mod m
+  std::size_t k_limbs_ = 0;  // limbs of k_ up to its highest nonzero one
 };
 
 }  // namespace icbtc::crypto

@@ -443,15 +443,18 @@ TEST(BatchVerifyTest, TweakedVariantAcceptsDerivedKeysAndRejectsTampering) {
 }
 
 TEST(MultiMulTest, MatchesNaiveSum) {
+  // Sizes on both sides of the ladder/Pippenger crossover (48 points), with
+  // every fifth scalar zero and each point repeated across the batch.
   util::Rng rng(7050);
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{40}}) {
+  for (std::size_t n : {1, 2, 7, 40, 47, 48, 64}) {
     std::vector<U256> scalars;
     std::vector<AffinePoint> points;
     JacobianPoint expect = JacobianPoint::infinity_point();
     for (std::size_t i = 0; i < n; ++i) {
       auto bytes = rng.next_bytes(32);
       U256 s = scalar_ctx().reduce(U256::from_be_bytes(util::ByteSpan(bytes.data(), bytes.size())));
-      U256 base(static_cast<std::uint64_t>(i + 2));
+      if (i % 5 == 4) s = U256(0);
+      U256 base(static_cast<std::uint64_t>(i % 6 + 2));
       AffinePoint p = generator_mul(base);
       scalars.push_back(s);
       points.push_back(p);

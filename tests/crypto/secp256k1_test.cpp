@@ -2,8 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.h"
+
 namespace icbtc::crypto {
 namespace {
+
+U256 random_scalar(util::Rng& rng) {
+  return scalar_ctx().reduce(U256(rng.next(), rng.next(), rng.next(), rng.next()));
+}
+
+// Reference group law: affine chord-and-tangent, one inversion per step.
+AffinePoint ref_add(const AffinePoint& a, const AffinePoint& b) {
+  if (a.infinity) return b;
+  if (b.infinity) return a;
+  const ModCtx& f = field_ctx();
+  U256 lambda;
+  if (a.x == b.x) {
+    if (a.y != b.y || a.y.is_zero()) return AffinePoint{};
+    lambda = f.mul(f.mul(U256(3), f.sqr(a.x)), f.inv(f.mul(U256(2), a.y)));
+  } else {
+    lambda = f.mul(f.sub(b.y, a.y), f.inv(f.sub(b.x, a.x)));
+  }
+  U256 x3 = f.sub(f.sub(f.sqr(lambda), a.x), b.x);
+  return AffinePoint::make(x3, f.sub(f.mul(lambda, f.sub(a.x, x3)), a.y));
+}
+
+// Reference k·P: affine double-and-add over the bits of k.
+AffinePoint ref_mul(const U256& k, const AffinePoint& p) {
+  AffinePoint acc;
+  for (int i = k.bit_length() - 1; i >= 0; --i) {
+    acc = ref_add(acc, acc);
+    if (k.bit(i)) acc = ref_add(acc, p);
+  }
+  return acc;
+}
 
 TEST(Secp256k1Test, GeneratorOnCurve) {
   EXPECT_TRUE(generator().on_curve());
@@ -130,12 +164,32 @@ TEST(Secp256k1Test, ParseNonResidueFails) {
 }
 
 TEST(Secp256k1Test, DoubleMulMatchesSeparate) {
-  U256 u1(777), u2(888);
-  AffinePoint p = generator_mul(U256(31337));
-  AffinePoint expect = JacobianPoint::from_affine(generator_mul(u1))
-                           .add_affine(scalar_mul(u2, p))
-                           .to_affine();
-  EXPECT_EQ(double_mul(u1, u2, p), expect);
+  // Equal u1, u2 with P = ±G make the ladder add a point to itself (the
+  // doubling branch, H = 0 and r = 0) or to its negation (infinity, H = 0 and
+  // r != 0); the top-window scalars hit that on the first window.
+  util::Rng rng(0xd0b1e);
+  const std::vector<U256> us = {U256(0),
+                                U256(1),
+                                curve_order() - U256(1),
+                                U256(777),
+                                random_scalar(rng),
+                                U256(0, 0, 0, 0x5ULL << 60),
+                                U256(0, 0, 0, 0xfULL << 60)};
+  const std::vector<AffinePoint> ps = {generator(), generator().negated(),
+                                       generator_mul(U256(31337)),
+                                       generator_mul(random_scalar(rng))};
+  for (const AffinePoint& p : ps) {
+    for (const U256& u2 : us) {
+      AffinePoint u2p = scalar_mul(u2, p);
+      ASSERT_EQ(u2p, ref_mul(u2, p)) << u2.to_hex();
+      for (const U256& u1 : us) {
+        AffinePoint expect = ref_add(generator_mul(u1), u2p);
+        EXPECT_EQ(double_mul(u1, u2, p), expect) << u1.to_hex() << " " << u2.to_hex();
+        JacobianPoint g_part = JacobianPoint::from_affine(generator_mul(u1));
+        EXPECT_EQ(g_part.add_affine(u2p).to_affine(), expect);
+      }
+    }
+  }
 }
 
 class ScalarMulProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -150,6 +204,14 @@ TEST_P(ScalarMulProperty, HomomorphicOverAddition) {
   AffinePoint rhs = generator_mul(scalar_ctx().add(a, b));
   EXPECT_EQ(lhs, rhs);
   EXPECT_TRUE(lhs.on_curve());
+
+  // The windowed ladder against affine double-and-add, at a random point.
+  util::Rng rng(seed);
+  U256 k = random_scalar(rng);
+  AffinePoint p = generator_mul(random_scalar(rng));
+  AffinePoint kp = scalar_mul(k, p);
+  EXPECT_EQ(kp, ref_mul(k, p));
+  EXPECT_EQ(double_mul(a, k, p), ref_add(generator_mul(a), kp));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ScalarMulProperty, ::testing::Range<std::uint64_t>(1, 17));

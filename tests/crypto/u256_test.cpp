@@ -2,10 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/secp256k1.h"
+#include "util/rng.h"
 
 namespace icbtc::crypto {
 namespace {
+
+const U256 kAllOnes(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+
+U256 random_u256(util::Rng& rng) { return U256(rng.next(), rng.next(), rng.next(), rng.next()); }
+
+// Reference reduction: x mod m by shift-and-subtract over all 512 bits.
+U256 slow_mod(const U512& x, const U256& m) {
+  U256 r;
+  for (int i = 511; i >= 0; --i) {
+    bool overflow = r.bit(255);
+    r = r.shifted_left(1);
+    r.limb[0] |= (x.limb[static_cast<std::size_t>(i / 64)] >> (i % 64)) & 1;
+    if (overflow || r >= m) r = r - m;
+  }
+  return r;
+}
+
+U512 make_u512(const U256& hi, const U256& lo) {
+  U512 x;
+  for (std::size_t i = 0; i < 4; ++i) {
+    x.limb[i] = lo.limb[i];
+    x.limb[i + 4] = hi.limb[i];
+  }
+  return x;
+}
+
+// Inputs hi·2^256 + lo whose first fold (lo + hi·k) ends at 2^256 − 1 − j in
+// its low half, so that the second fold carries out of 2^256.
+U512 second_fold_carries(const U256& hi, const U256& k, std::uint64_t j) {
+  U256 lo = U256(0) - mul_full(hi, k).lo() - U256(1 + j);
+  return make_u512(hi, lo);
+}
 
 TEST(U256Test, HexRoundTrip) {
   U256 v = U256::from_hex("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
@@ -122,6 +157,68 @@ TEST(ModCtxTest, FieldArithmeticIdentities) {
   // Distributivity.
   EXPECT_EQ(f.mul(a, f.add(b, U256(7))), f.add(f.mul(a, b), f.mul(a, U256(7))));
 }
+
+class ModCtxDifferential : public ::testing::TestWithParam<bool> {
+ protected:
+  const ModCtx& ctx() const { return GetParam() ? field_ctx() : scalar_ctx(); }
+};
+
+TEST_P(ModCtxDifferential, MulSqrReduceMatchSlowReference) {
+  const ModCtx& m = ctx();
+  const U256& mod = m.modulus();
+  const U256 k = U256(0) - mod;  // 2^256 mod m
+  std::vector<U256> edges = {U256(0), U256(1), U256(2), mod - U256(1), mod - U256(2), k};
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      EXPECT_EQ(m.mul(a, b), slow_mod(mul_full(a, b), mod)) << a.to_hex() << " " << b.to_hex();
+    }
+    EXPECT_EQ(m.sqr(a), slow_mod(mul_full(a, a), mod)) << a.to_hex();
+  }
+  std::vector<U512> reduce_inputs = {
+      make_u512(U256(0), kAllOnes),         // 2^256 − 1
+      make_u512(kAllOnes, kAllOnes),        // 2^512 − 1
+      make_u512(kAllOnes, U256(0)),         // high half all ones
+      make_u512(kAllOnes, mod),
+      make_u512(U256(0), mod),
+      make_u512(mod - U256(1), mod - U256(1)),
+  };
+  util::Rng rng(GetParam() ? 0xf1e1d : 0x5ca1a);
+  for (std::uint64_t j = 0; j < 64; ++j) {
+    reduce_inputs.push_back(second_fold_carries(random_u256(rng), k, j));
+    reduce_inputs.push_back(second_fold_carries(kAllOnes, k, j));
+    reduce_inputs.push_back(make_u512(kAllOnes, random_u256(rng)));
+  }
+  for (const U512& x : reduce_inputs) {
+    EXPECT_EQ(m.reduce512(x), slow_mod(x, mod)) << x.hi().to_hex() << x.lo().to_hex();
+  }
+  for (int i = 0; i < 10000; ++i) {
+    U256 a = m.reduce(random_u256(rng));
+    U256 b = m.reduce(random_u256(rng));
+    ASSERT_EQ(m.mul(a, b), slow_mod(mul_full(a, b), mod)) << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(m.sqr(a), slow_mod(mul_full(a, a), mod)) << a.to_hex();
+    U512 x = make_u512(random_u256(rng), random_u256(rng));
+    ASSERT_EQ(m.reduce512(x), slow_mod(x, mod)) << x.hi().to_hex() << x.lo().to_hex();
+  }
+}
+
+TEST_P(ModCtxDifferential, InverseMatchesFermat) {
+  const ModCtx& m = ctx();
+  const U256 exp = m.modulus() - U256(2);
+  util::Rng rng(GetParam() ? 0x1a7e : 0x2b8f);
+  std::vector<U256> values = {U256(1), U256(2), m.modulus() - U256(1), m.modulus() + U256(3),
+                              kAllOnes};
+  for (int i = 0; i < 200; ++i) values.push_back(random_u256(rng));
+  for (const U256& a : values) {
+    U256 inv = m.inv(a);
+    EXPECT_EQ(inv, m.pow(a, exp)) << a.to_hex();
+    EXPECT_EQ(m.mul(a, inv), U256(1)) << a.to_hex();
+  }
+  EXPECT_THROW(m.inv(U256(0)), std::domain_error);
+  EXPECT_THROW(m.inv(m.modulus()), std::domain_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(FieldAndScalar, ModCtxDifferential, ::testing::Bool(),
+                         [](const auto& info) { return info.param ? "field" : "scalar"; });
 
 TEST(ModCtxTest, InverseIsInverse) {
   const ModCtx& f = field_ctx();
