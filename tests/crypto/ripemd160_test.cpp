@@ -17,6 +17,10 @@ struct Case {
   std::string digest;
 };
 
+// Names each case by its digest. gtest's default printer dumps the struct's
+// bytes, heap pointers included, so the test name would differ on every run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.digest; }
+
 class Ripemd160Vectors : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Ripemd160Vectors, MatchesReference) {

@@ -26,6 +26,11 @@ struct Bip340Vector {
   std::string sig;
 };
 
+// Names each vector by the first 16 hex digits of its public key. gtest's
+// default printer dumps the struct's bytes, heap pointers included, so the
+// name would differ on every run.
+void PrintTo(const Bip340Vector& v, std::ostream* os) { *os << v.pubkey.substr(0, 16); }
+
 class Bip340SignVectors : public ::testing::TestWithParam<Bip340Vector> {};
 
 TEST_P(Bip340SignVectors, SignMatchesReference) {

@@ -43,6 +43,12 @@ struct VarintCase {
   std::string hex;
 };
 
+// Names each case by its value. gtest's default printer dumps the struct's
+// bytes, heap pointer included, so the test name would differ on every run.
+void PrintTo(const VarintCase& c, std::ostream* os) {
+  *os << "0x" << std::hex << c.value << std::dec;
+}
+
 class VarintTest : public ::testing::TestWithParam<VarintCase> {};
 
 TEST_P(VarintTest, RoundTripsWithCanonicalEncoding) {
