@@ -51,10 +51,10 @@ void print_figure3() {
 
   auto name_of = [&](const util::Hash256& h) -> std::string {
     for (std::size_t i = 0; i < main_chain.size(); ++i) {
-      if (main_chain[i] == h) return "m" + std::to_string(i + 1);
+      if (main_chain[i] == h) return std::string("m").append(std::to_string(i + 1));
     }
     for (std::size_t i = 0; i < fork_a.size(); ++i) {
-      if (fork_a[i] == h) return "a" + std::to_string(i + 1);
+      if (fork_a[i] == h) return std::string("a").append(std::to_string(i + 1));
     }
     if (fork_b[0] == h) return "b1";
     return "g";

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   util::Hash256 tip = tree.root_hash();
   std::vector<util::Hash256> main_chain;
   for (int i = 1; i <= 6; ++i) {
-    tip = extend(tip, "m" + std::to_string(i));
+    tip = extend(tip, std::string("m").append(std::to_string(i)));
     main_chain.push_back(tip);
   }
   printer.print();
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   std::printf("condition of Definition II.1 requires d_w(m2) - d_w(f1) >= 4*w.\n\n");
 
   std::printf("The main chain decisively outruns the fork (m7..m12):\n");
-  for (int i = 7; i <= 12; ++i) tip = extend(tip, "m" + std::to_string(i));
+  for (int i = 7; i <= 12; ++i) tip = extend(tip, std::string("m").append(std::to_string(i)));
   std::printf("  m2 is difficulty-based 4-stable: %s -> the Bitcoin canister would\n",
               tree.is_difficulty_stable(main_chain[1], 4, ref) ? "yes" : "no");
   std::printf("  advance its anchor past m2 and prune the fork (Algorithm 2).\n");

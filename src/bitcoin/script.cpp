@@ -127,18 +127,40 @@ util::Hash256 taproot_sighash(const Transaction& tx, std::size_t input_index,
   return crypto::tagged_hash("TapSighash", w.data());
 }
 
-bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey) {
+bool SignatureCache::verify(const util::Hash256& digest, ByteSpan pubkey, ByteSpan sig,
+                            util::FunctionRef<bool()> check) {
+  std::string key;
+  key.reserve(12 + digest.data.size() + pubkey.size() + sig.size());
+  for (ByteSpan field : {digest.span(), pubkey, sig}) {
+    auto len = static_cast<std::uint32_t>(field.size());
+    for (int shift = 0; shift < 32; shift += 8) key.push_back(static_cast<char>(len >> shift));
+    key.append(field.begin(), field.end());
+  }
+  if (entries_.contains(key)) return true;
+  ++checks_;
+  if (!check()) return false;
+  if (entries_.size() >= kCapacity) entries_.clear();
+  entries_.insert(std::move(key));
+  return true;
+}
+
+bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
+                       SignatureCache* cache) {
   if (!is_p2tr(script_pubkey) || input_index >= tx.inputs.size()) return false;
   const auto& script_sig = tx.inputs[input_index].script_sig;
   auto sig = crypto::SchnorrSignature::parse(script_sig);
   if (!sig) return false;
-  auto pubkey = crypto::XOnlyPublicKey::parse(script_pubkey.subspan(2, 32));
-  if (!pubkey) return false;
+  ByteSpan key_bytes = script_pubkey.subspan(2, 32);
   util::Hash256 digest = taproot_sighash(tx, input_index, script_pubkey);
-  return crypto::schnorr_verify(*pubkey, digest, *sig);
+  auto check = [&] {
+    auto pubkey = crypto::XOnlyPublicKey::parse(key_bytes);
+    return pubkey && crypto::schnorr_verify(*pubkey, digest, *sig);
+  };
+  return cache != nullptr ? cache->verify(digest, key_bytes, script_sig, check) : check();
 }
 
-bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey) {
+bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
+                        SignatureCache* cache) {
   if (!is_p2pkh(script_pubkey) || input_index >= tx.inputs.size()) return false;
   auto parsed = parse_p2pkh_script_sig(tx.inputs[input_index].script_sig);
   if (!parsed) return false;
@@ -149,13 +171,15 @@ bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan
   auto expected_hash = extract_pubkey_hash(script_pubkey);
   if (!expected_hash || crypto::hash160(pubkey) != *expected_hash) return false;
 
-  auto point = crypto::AffinePoint::parse(pubkey);
-  if (!point) return false;
-  auto sig = crypto::Signature::from_der(
-      ByteSpan(sig_with_type.data(), sig_with_type.size() - 1));
-  if (!sig) return false;
   util::Hash256 digest = legacy_sighash(tx, input_index, script_pubkey);
-  return crypto::verify(*point, digest, *sig);
+  ByteSpan der(sig_with_type.data(), sig_with_type.size() - 1);
+  auto check = [&] {
+    auto point = crypto::AffinePoint::parse(pubkey);
+    if (!point) return false;
+    auto sig = crypto::Signature::from_der(der);
+    return sig && crypto::verify(*point, digest, *sig);
+  };
+  return cache != nullptr ? cache->verify(digest, pubkey, der, check) : check();
 }
 
 }  // namespace icbtc::bitcoin

@@ -1,6 +1,7 @@
 // Minimal Bitcoin script support: the standard output templates the wallet
 // layer uses (P2PKH and P2WPKH), plus legacy-sighash transaction signing and
-// signature checking for the simulated Bitcoin network's mempool policy.
+// signature checking (with a signature cache) for the simulated Bitcoin
+// network's mempool policy.
 //
 // A full script interpreter is deliberately out of scope: the Bitcoin
 // canister never validates transaction scripts (§III-C — it relies on the
@@ -9,10 +10,13 @@
 #pragma once
 
 #include <optional>
+#include <string>
+#include <unordered_set>
 
 #include "bitcoin/transaction.h"
 #include "crypto/ecdsa.h"
 #include "util/bytes.h"
+#include "util/function_ref.h"
 
 namespace icbtc::bitcoin {
 
@@ -63,10 +67,38 @@ Bytes p2pkh_script_sig(const crypto::Signature& sig, ByteSpan pubkey);
 /// Parses a P2PKH scriptSig back into (DER signature + sighash byte, pubkey).
 std::optional<std::pair<Bytes, Bytes>> parse_p2pkh_script_sig(ByteSpan script_sig);
 
+/// Signatures that have already verified, after Bitcoin Core's signature
+/// cache. A key is the exact (sighash digest, public-key bytes, signature
+/// bytes) triple, each field length-prefixed, so two different triples never
+/// share a key. Only successful checks are stored: a hit means the same pure
+/// check returned true before, so a cached verifier decides exactly as an
+/// uncached one. At kCapacity entries the set is emptied wholesale.
+///
+/// Not thread-safe: a cache belongs to one simulation thread.
+class SignatureCache {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// True when the triple is cached. Otherwise runs `check` (which must be
+  /// a pure function of the triple) and caches the triple iff it passes.
+  bool verify(const util::Hash256& digest, ByteSpan pubkey, ByteSpan sig,
+              util::FunctionRef<bool()> check);
+
+  std::size_t size() const { return entries_.size(); }
+  /// Checks run so far (the misses).
+  std::uint64_t checks() const { return checks_; }
+
+ private:
+  std::unordered_set<std::string> entries_;
+  std::uint64_t checks_ = 0;
+};
+
 /// Verifies that input `input_index` of `tx` correctly spends a P2PKH output
 /// locked by `script_pubkey` (signature and pubkey-hash check). This is what
-/// the simulated Bitcoin nodes run as mempool/block policy.
-bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey);
+/// the simulated Bitcoin nodes run as mempool/block policy. With a `cache`,
+/// the signature check itself runs only for a triple not yet cached.
+bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
+                        SignatureCache* cache = nullptr);
 
 /// Taproot key-path signature hash. Simplified from BIP-341: a tagged hash
 /// over the legacy-style transaction commitment (this library's transactions
@@ -76,7 +108,9 @@ util::Hash256 taproot_sighash(const Transaction& tx, std::size_t input_index,
                               ByteSpan script_pubkey);
 
 /// Verifies a taproot key-path spend: the scriptSig must hold a 64-byte
-/// BIP-340 signature by the output key over taproot_sighash.
-bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey);
+/// BIP-340 signature by the output key over taproot_sighash. `cache` as for
+/// verify_p2pkh_input.
+bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
+                       SignatureCache* cache = nullptr);
 
 }  // namespace icbtc::bitcoin

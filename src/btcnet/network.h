@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bitcoin/script.h"
 #include "btcnet/messages.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,6 +54,10 @@ class Network {
 
   util::Simulation& sim() { return *sim_; }
   util::Rng& rng() { return rng_; }
+  /// One signature cache for every node on this network: each input's
+  /// signature is checked once network-wide, and the other nodes (and
+  /// re-admissions after a reorg) pay a hash probe.
+  bitcoin::SignatureCache& signature_cache() { return signature_cache_; }
 
   /// Registers an endpoint; returns its assigned id. `gossiped` controls
   /// whether the address appears in addr gossip / DNS seed answers (adapters
@@ -114,6 +119,7 @@ class Network {
   util::Simulation* sim_;
   util::Rng rng_;
   LatencyModel latency_;
+  bitcoin::SignatureCache signature_cache_;
   NodeId next_id_ = 1;
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   std::unordered_map<NodeId, NetAddress> addresses_;

@@ -600,17 +600,13 @@ bool BitcoinNode::accept_tx(const Transaction& tx, NodeId from) {
     auto entry = utxos_.find(in.prevout);
     if (entry) {
       in_value += entry->output.value;
-      if (options_.verify_scripts) {
-        std::size_t index = static_cast<std::size_t>(&in - tx.inputs.data());
-        if (bitcoin::is_p2pkh(entry->output.script_pubkey)) {
-          if (!bitcoin::verify_p2pkh_input(tx, index, entry->output.script_pubkey)) {
-            return reject();
-          }
-        } else if (bitcoin::is_p2tr(entry->output.script_pubkey)) {
-          if (!bitcoin::verify_p2tr_input(tx, index, entry->output.script_pubkey)) {
-            return reject();
-          }
-        }
+      std::size_t index = static_cast<std::size_t>(&in - tx.inputs.data());
+      const auto& lock = entry->output.script_pubkey;
+      auto* cache = &network_->signature_cache();
+      if (bitcoin::is_p2pkh(lock)) {
+        if (!bitcoin::verify_p2pkh_input(tx, index, lock, cache)) return reject();
+      } else if (bitcoin::is_p2tr(lock)) {
+        if (!bitcoin::verify_p2tr_input(tx, index, lock, cache)) return reject();
       }
       continue;
     }

@@ -37,8 +37,6 @@ enum class TxRelayMode {
 };
 
 struct NodeOptions {
-  /// Verify P2PKH spends when admitting transactions to the mempool.
-  bool verify_scripts = true;
   /// Maximum addresses returned to a getaddr.
   std::size_t max_addr_response = 1000;
   /// Maximum blocks announced per inv.

@@ -43,4 +43,12 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// `s` escaped and in double quotes: a JSON string literal.
+inline std::string json_quote(const std::string& s) {
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
+
 }  // namespace icbtc::obs::detail

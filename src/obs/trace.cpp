@@ -110,7 +110,7 @@ void Tracer::attr_double(SpanContext context, std::string_view key, double value
 void Tracer::attr_str(SpanContext context, std::string_view key, std::string_view value) {
   auto it = open_.find(context.span_id);
   if (it == open_.end()) return;
-  render_attr(it->second, key, "\"" + detail::json_escape(std::string(value)) + "\"");
+  render_attr(it->second, key, detail::json_quote(std::string(value)));
 }
 
 SpanContext Tracer::current() const {

@@ -11,9 +11,7 @@
 namespace icbtc::obs {
 namespace {
 
-using detail::json_escape;
-
-std::string quoted(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+using detail::json_quote;
 
 void append_attrs(std::string& out, const SpanRecord& span) {
   out += "\"attrs\":{";
@@ -21,7 +19,7 @@ void append_attrs(std::string& out, const SpanRecord& span) {
   for (const auto& [key, value] : span.attrs) {
     if (!first) out += ",";
     first = false;
-    out += quoted(key) + ":" + value;  // values are pre-rendered JSON
+    out += json_quote(key) + ":" + value;  // values are pre-rendered JSON
   }
   out += "}";
 }
@@ -59,8 +57,8 @@ void append_span_tree(std::string& out, const std::vector<SpanRecord>& spans,
                       const SpanIndex& index, std::size_t i) {
   const SpanRecord& span = spans[i];
   out += "{\"span_id\":" + std::to_string(span.span_id);
-  out += ",\"name\":" + quoted(span.name);
-  out += ",\"category\":" + quoted(span.category);
+  out += ",\"name\":" + json_quote(span.name);
+  out += ",\"category\":" + json_quote(span.category);
   out += ",\"start_us\":" + std::to_string(span.start);
   out += ",\"end_us\":" + std::to_string(span.end);
   out += ",\"duration_us\":" + std::to_string(span.duration());
@@ -106,7 +104,7 @@ std::string to_trace_json(const Tracer& tracer) {
   for (const RequestCostRecord& r : tracer.request_costs()) {
     if (!first_request) out += ",";
     first_request = false;
-    out += "{\"endpoint\":" + quoted(r.endpoint);
+    out += "{\"endpoint\":" + json_quote(r.endpoint);
     out += ",\"trace_id\":" + std::to_string(r.trace_id);
     out += ",\"latency_us\":" + std::to_string(r.latency_us);
     out += ",\"instructions\":" + std::to_string(r.instructions);
@@ -124,8 +122,8 @@ std::string to_trace_json(const Tracer& tracer) {
     out += ",\"severity\":\"" + std::string(to_string(e.severity)) + "\"";
     out += ",\"trace_id\":" + std::to_string(e.trace_id);
     out += ",\"span_id\":" + std::to_string(e.span_id);
-    out += ",\"name\":" + quoted(e.name);
-    out += ",\"detail\":" + quoted(e.detail);
+    out += ",\"name\":" + json_quote(e.name);
+    out += ",\"detail\":" + json_quote(e.detail);
     out += "}";
   }
   out += "],\"dropped_spans\":" + std::to_string(tracer.dropped_spans());
@@ -151,20 +149,21 @@ std::string to_chrome_trace(const Tracer& tracer) {
     if (!first) out += ",";
     first = false;
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":" + quoted(category) + "}}";
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":" + json_quote(category) + "}}";
   }
   for (const SpanRecord& span : spans) {
     if (!first) out += ",";
     first = false;
     out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(category_tid[span.category]);
-    out += ",\"name\":" + quoted(span.name);
-    out += ",\"cat\":" + quoted(span.category);
+    out += ",\"name\":" + json_quote(span.name);
+    out += ",\"cat\":" + json_quote(span.category);
     out += ",\"ts\":" + std::to_string(span.start);
     out += ",\"dur\":" + std::to_string(span.duration());
     out += ",\"args\":{\"trace_id\":" + std::to_string(span.trace_id);
     out += ",\"span_id\":" + std::to_string(span.span_id);
     for (const auto& [key, value] : span.attrs) {
-      out += "," + quoted(key) + ":" + value;
+      out += ',';
+      out += json_quote(key) + ":" + value;
     }
     out += "}}";
   }
@@ -172,10 +171,10 @@ std::string to_chrome_trace(const Tracer& tracer) {
     if (!first) out += ",";
     first = false;
     out += "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"s\":\"g\"";
-    out += ",\"name\":" + quoted(e.name);
+    out += ",\"name\":" + json_quote(e.name);
     out += ",\"cat\":\"" + std::string(to_string(e.severity)) + "\"";
     out += ",\"ts\":" + std::to_string(e.time);
-    out += ",\"args\":{\"detail\":" + quoted(e.detail);
+    out += ",\"args\":{\"detail\":" + json_quote(e.detail);
     out += ",\"trace_id\":" + std::to_string(e.trace_id) + "}}";
   }
   out += "]}";

@@ -166,5 +166,76 @@ TEST_F(P2pkhSpendTest, OutOfRangeInputFails) {
   EXPECT_FALSE(verify_p2pkh_input(tx_, 5, lock_script_));
 }
 
+// A cache warmed by the valid spend holds (digest, pubkey, DER) of that spend.
+// Every alteration below changes one field of the triple, so it must miss
+// and fail its own check.
+TEST_F(P2pkhSpendTest, WarmCacheHitSkipsTheCheck) {
+  SignatureCache cache;
+  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_EQ(cache.checks(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(P2pkhSpendTest, WarmCacheWrongKeyFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, p2pkh_script(key_hash(test_key(9))), &cache));
+}
+
+TEST_F(P2pkhSpendTest, WarmCacheTamperedOutputFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  tx_.outputs[0].value += 1;
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+}
+
+TEST_F(P2pkhSpendTest, WarmCacheTamperedSignatureFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  tx_.inputs[0].script_sig[10] ^= 0x01;  // inside r: still valid DER
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(P2pkhSpendTest, FailedCheckIsNeverCached) {
+  SignatureCache cache;
+  tx_.inputs[0].script_sig[10] ^= 0x01;
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_EQ(cache.checks(), 2u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SignatureCacheTest, SizeNeverExceedsCapacity) {
+  SignatureCache cache;
+  const util::Bytes pubkey{2, 7}, sig{0x30, 1};
+  const std::size_t n = 2 * SignatureCache::kCapacity + 3;
+  for (std::size_t i = 0; i < n; ++i) {
+    util::Hash256 digest;
+    for (std::size_t b = 0; b < 8; ++b) digest.data[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    ASSERT_TRUE(cache.verify(digest, pubkey, sig, [] { return true; }));
+    ASSERT_LE(cache.size(), SignatureCache::kCapacity);
+  }
+  EXPECT_EQ(cache.checks(), n);
+  // Flushed wholesale when full: twice, leaving the last three entries.
+  EXPECT_EQ(cache.size(), 3u);
+  util::Hash256 first;  // entry 0 went with the first flush
+  bool ran = false;
+  EXPECT_TRUE(cache.verify(first, pubkey, sig, [&] { return ran = true; }));
+  EXPECT_TRUE(ran);
+}
+
+TEST(SignatureCacheTest, FieldBoundariesArePartOfTheKey) {
+  // (pubkey, sig) = ({1, 2}, {3}) and ({1}, {2, 3}) concatenate to the same
+  // bytes; the length prefixes keep them apart.
+  SignatureCache cache;
+  util::Hash256 digest;
+  ASSERT_TRUE(cache.verify(digest, util::Bytes{1, 2}, util::Bytes{3}, [] { return true; }));
+  EXPECT_FALSE(cache.verify(digest, util::Bytes{1}, util::Bytes{2, 3}, [] { return false; }));
+  EXPECT_TRUE(cache.verify(digest, util::Bytes{1, 2}, util::Bytes{3}, [] { return false; }));
+  EXPECT_EQ(cache.checks(), 2u);
+}
+
 }  // namespace
 }  // namespace icbtc::bitcoin

@@ -130,6 +130,39 @@ TEST_F(TaprootSpendTest, NonTaprootLockFails) {
   EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2pkh_script(h)));
 }
 
+// Warm-cache cases, as for P2PKH: each alteration changes one field of the
+// cached (digest, x-only key, signature) triple.
+TEST_F(TaprootSpendTest, WarmCacheHitSkipsTheCheck) {
+  SignatureCache cache;
+  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_EQ(cache.checks(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(TaprootSpendTest, WarmCacheWrongKeyFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2tr_script(test_key(9).pubkey.bytes()), &cache));
+}
+
+TEST_F(TaprootSpendTest, WarmCacheTamperedOutputFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  tx_.outputs[0].value += 1;
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+}
+
+TEST_F(TaprootSpendTest, WarmCacheTamperedSignatureFails) {
+  SignatureCache cache;
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  tx_.inputs[0].script_sig[10] ^= 1;
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_EQ(cache.checks(), 3u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST_F(TaprootSpendTest, SighashCommitsToInputIndex) {
   TxIn extra;
   extra.prevout.txid.data[1] = 0x22;

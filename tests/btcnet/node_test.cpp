@@ -99,15 +99,25 @@ class SpendTest : public NodeTest {
   }
 
   bitcoin::Transaction spend(const bitcoin::OutPoint& from_outpoint, bitcoin::Amount value) {
+    return spend(std::vector<bitcoin::OutPoint>{from_outpoint}, value);
+  }
+
+  /// One output of `value`, spending every outpoint, each input signed.
+  bitcoin::Transaction spend(const std::vector<bitcoin::OutPoint>& outpoints,
+                             bitcoin::Amount value) {
     bitcoin::Transaction tx;
-    bitcoin::TxIn in;
-    in.prevout = from_outpoint;
-    tx.inputs.push_back(in);
+    for (const auto& outpoint : outpoints) {
+      bitcoin::TxIn in;
+      in.prevout = outpoint;
+      tx.inputs.push_back(in);
+    }
     tx.outputs.push_back(bitcoin::TxOut{value, bitcoin::p2pkh_script(key_hash_)});
     auto lock = bitcoin::p2pkh_script(key_hash_);
-    auto digest = bitcoin::legacy_sighash(tx, 0, lock);
-    tx.inputs[0].script_sig =
-        bitcoin::p2pkh_script_sig(key_.sign(digest), key_.public_key().compressed());
+    for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
+      auto digest = bitcoin::legacy_sighash(tx, i, lock);
+      tx.inputs[i].script_sig =
+          bitcoin::p2pkh_script_sig(key_.sign(digest), key_.public_key().compressed());
+    }
     return tx;
   }
 
@@ -196,6 +206,48 @@ TEST_F(SpendTest, RelayedTxHashedExactlyOnce) {
   ASSERT_TRUE(bob_.submit_tx(tx));
   sim_.run();
   EXPECT_EQ(bitcoin::Transaction::txid_computations() - before, 1u);
+  EXPECT_TRUE(alice_.in_mempool(tx.txid()));
+}
+
+TEST_F(SpendTest, RelayedTxVerifiedOncePerInput) {
+  net_.connect(alice_.id(), bob_.id());
+  sim_.run();
+  auto first = fund();
+  auto second = fund();
+  sim_.run();
+  auto tx = spend({first, second}, 99 * bitcoin::kCoin);
+  // Bob checks both signatures on submission; alice admits the relayed tx
+  // on cache hits alone.
+  const auto& cache = net_.signature_cache();
+  auto before = cache.checks();
+  ASSERT_TRUE(bob_.submit_tx(tx));
+  sim_.run();
+  EXPECT_TRUE(alice_.in_mempool(tx.txid()));
+  EXPECT_EQ(cache.checks() - before, tx.inputs.size());
+}
+
+TEST_F(SpendTest, TamperedSignatureRejectedEverywhereAndNotCached) {
+  net_.connect(alice_.id(), bob_.id());
+  sim_.run();
+  auto outpoint = fund();
+  sim_.run();
+  auto tx = spend(outpoint, 49 * bitcoin::kCoin);
+  auto tampered = tx;
+  tampered.inputs[0].script_sig[10] ^= 1;  // inside r: still valid DER
+  const auto& cache = net_.signature_cache();
+  auto size_before = cache.size();
+  auto checks_before = cache.checks();
+  EXPECT_FALSE(alice_.submit_tx(tampered));
+  EXPECT_FALSE(bob_.submit_tx(tampered));
+  sim_.run();
+  EXPECT_EQ(alice_.mempool_size(), 0u);
+  EXPECT_EQ(bob_.mempool_size(), 0u);
+  // A failed check is never remembered, so each node ran its own.
+  EXPECT_EQ(cache.size(), size_before);
+  EXPECT_EQ(cache.checks() - checks_before, 2u);
+  // The honest spend of the same outpoint still goes through.
+  ASSERT_TRUE(bob_.submit_tx(tx));
+  sim_.run();
   EXPECT_TRUE(alice_.in_mempool(tx.txid()));
 }
 

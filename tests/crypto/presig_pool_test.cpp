@@ -94,7 +94,9 @@ TEST(PresigPoolTest, BatchMatchesSerialByteForByte) {
 TEST(PresigPoolTest, BatchWorksWithSharedThreadPool) {
   parallel::set_shared_pool(3);
   std::vector<ThresholdEcdsaService::SignRequest> requests;
-  for (int i = 0; i < 17; ++i) requests.push_back({digest_of("p" + std::to_string(i)), {}});
+  for (int i = 0; i < 17; ++i) {
+    requests.push_back({digest_of(std::string("p").append(std::to_string(i))), {}});
+  }
   ThresholdEcdsaService with_pool(3, 5, 7004, pooled(32));
   with_pool.pool().refill();
   auto sigs_parallel = with_pool.sign_batch(requests);
@@ -130,15 +132,11 @@ TEST(PresigPoolTest, NonceNeverRepeatsAcrossRandomizedRun) {
   util::Rng driver(7011);
   ThresholdEcdsaService service(3, 5, 7011, pooled(6, 3));
   service.pool().refill();
-  std::set<std::vector<std::uint8_t>> seen_r;
+  std::set<util::FixedBytes<32>> seen_r;
   std::set<std::uint64_t> seen_seq;
   int produced = 0;
   auto note = [&](const Signature& sig) {
-    auto r_bytes = sig.r.to_be_bytes();
-    EXPECT_TRUE(
-        seen_r.insert(std::vector<std::uint8_t>(r_bytes.data.begin(), r_bytes.data.end()))
-            .second)
-        << "nonce r repeated";
+    EXPECT_TRUE(seen_r.insert(sig.r.to_be_bytes()).second) << "nonce r repeated";
   };
   while (produced < 80) {
     switch (driver.next_below(4)) {

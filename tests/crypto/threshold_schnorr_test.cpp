@@ -72,7 +72,7 @@ TEST(ThresholdSchnorrTest, ManySignaturesUnderManyPaths) {
   ThresholdSchnorrService service(2, 3, 46);
   for (std::uint8_t i = 0; i < 12; ++i) {
     SchnorrDerivationPath path = {{i, static_cast<std::uint8_t>(i * 7)}};
-    auto msg = msg_of("m" + std::to_string(i));
+    auto msg = msg_of(std::string("m").append(std::to_string(i)));
     auto sig = service.sign(msg, path);
     EXPECT_TRUE(schnorr_verify(service.public_key(path), msg, sig)) << static_cast<int>(i);
   }

@@ -128,13 +128,13 @@ TEST(FlightRecorderTest, RingKeepsNewestEventsInOrder) {
   clock.install(tracer);
   for (int i = 0; i < 10; ++i) {
     clock.now = i;
-    tracer.event(Severity::kInfo, "e" + std::to_string(i));
+    tracer.event(Severity::kInfo, std::string("e").append(std::to_string(i)));
   }
   EXPECT_EQ(tracer.total_events(), 10u);
   auto events = tracer.events();
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].name, "e" + std::to_string(6 + i));
+    EXPECT_EQ(events[i].name, std::string("e").append(std::to_string(6 + i)));
     EXPECT_EQ(events[i].seq, 6 + i);
   }
 }
