@@ -145,7 +145,7 @@ bool SignatureCache::verify(const util::Hash256& digest, ByteSpan pubkey, ByteSp
 }
 
 bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
-                       SignatureCache* cache) {
+                       SignatureCache& cache) {
   if (!is_p2tr(script_pubkey) || input_index >= tx.inputs.size()) return false;
   const auto& script_sig = tx.inputs[input_index].script_sig;
   auto sig = crypto::SchnorrSignature::parse(script_sig);
@@ -156,11 +156,11 @@ bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan 
     auto pubkey = crypto::XOnlyPublicKey::parse(key_bytes);
     return pubkey && crypto::schnorr_verify(*pubkey, digest, *sig);
   };
-  return cache != nullptr ? cache->verify(digest, key_bytes, script_sig, check) : check();
+  return cache.verify(digest, key_bytes, script_sig, check);
 }
 
 bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
-                        SignatureCache* cache) {
+                        SignatureCache& cache) {
   if (!is_p2pkh(script_pubkey) || input_index >= tx.inputs.size()) return false;
   auto parsed = parse_p2pkh_script_sig(tx.inputs[input_index].script_sig);
   if (!parsed) return false;
@@ -179,7 +179,7 @@ bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan
     auto sig = crypto::Signature::from_der(der);
     return sig && crypto::verify(*point, digest, *sig);
   };
-  return cache != nullptr ? cache->verify(digest, pubkey, der, check) : check();
+  return cache.verify(digest, pubkey, der, check);
 }
 
 }  // namespace icbtc::bitcoin

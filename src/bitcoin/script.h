@@ -95,10 +95,10 @@ class SignatureCache {
 
 /// Verifies that input `input_index` of `tx` correctly spends a P2PKH output
 /// locked by `script_pubkey` (signature and pubkey-hash check). This is what
-/// the simulated Bitcoin nodes run as mempool/block policy. With a `cache`,
-/// the signature check itself runs only for a triple not yet cached.
+/// the simulated Bitcoin nodes run as mempool/block policy. The signature
+/// check itself runs only for a triple not yet in `cache`.
 bool verify_p2pkh_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
-                        SignatureCache* cache = nullptr);
+                        SignatureCache& cache);
 
 /// Taproot key-path signature hash. Simplified from BIP-341: a tagged hash
 /// over the legacy-style transaction commitment (this library's transactions
@@ -108,9 +108,8 @@ util::Hash256 taproot_sighash(const Transaction& tx, std::size_t input_index,
                               ByteSpan script_pubkey);
 
 /// Verifies a taproot key-path spend: the scriptSig must hold a 64-byte
-/// BIP-340 signature by the output key over taproot_sighash. `cache` as for
-/// verify_p2pkh_input.
+/// BIP-340 signature by the output key over taproot_sighash.
 bool verify_p2tr_input(const Transaction& tx, std::size_t input_index, ByteSpan script_pubkey,
-                       SignatureCache* cache = nullptr);
+                       SignatureCache& cache);
 
 }  // namespace icbtc::bitcoin

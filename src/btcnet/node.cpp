@@ -602,7 +602,7 @@ bool BitcoinNode::accept_tx(const Transaction& tx, NodeId from) {
       in_value += entry->output.value;
       std::size_t index = static_cast<std::size_t>(&in - tx.inputs.data());
       const auto& lock = entry->output.script_pubkey;
-      auto* cache = &network_->signature_cache();
+      auto& cache = network_->signature_cache();
       if (bitcoin::is_p2pkh(lock)) {
         if (!bitcoin::verify_p2pkh_input(tx, index, lock, cache)) return reject();
       } else if (bitcoin::is_p2tr(lock)) {

@@ -123,6 +123,7 @@ class P2pkhSpendTest : public ::testing::Test {
   crypto::PrivateKey key_ = test_key(7);
   util::Bytes lock_script_ = p2pkh_script(key_hash(key_));
   Transaction tx_;
+  SignatureCache cache_;
 
   void SetUp() override {
     OutPoint prev;
@@ -135,76 +136,71 @@ class P2pkhSpendTest : public ::testing::Test {
 };
 
 TEST_F(P2pkhSpendTest, ValidSpendVerifies) {
-  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_));
+  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(P2pkhSpendTest, WrongKeyFails) {
   auto other_script = p2pkh_script(key_hash(test_key(9)));
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, other_script));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, other_script, cache_));
 }
 
 TEST_F(P2pkhSpendTest, TamperedOutputFails) {
   tx_.outputs[0].value += 1;
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(P2pkhSpendTest, TamperedSignatureFails) {
   tx_.inputs[0].script_sig[5] ^= 0x01;
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(P2pkhSpendTest, EmptyScriptSigFails) {
   tx_.inputs[0].script_sig.clear();
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(P2pkhSpendTest, NonP2pkhLockScriptFails) {
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, p2wpkh_script(key_hash(key_))));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, p2wpkh_script(key_hash(key_)), cache_));
 }
 
 TEST_F(P2pkhSpendTest, OutOfRangeInputFails) {
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 5, lock_script_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 5, lock_script_, cache_));
 }
 
 // A cache warmed by the valid spend holds (digest, pubkey, DER) of that spend.
 // Every alteration below changes one field of the triple, so it must miss
 // and fail its own check.
 TEST_F(P2pkhSpendTest, WarmCacheHitSkipsTheCheck) {
-  SignatureCache cache;
-  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_EQ(cache.checks(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_EQ(cache_.checks(), 1u);
+  EXPECT_EQ(cache_.size(), 1u);
 }
 
 TEST_F(P2pkhSpendTest, WarmCacheWrongKeyFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, p2pkh_script(key_hash(test_key(9))), &cache));
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, p2pkh_script(key_hash(test_key(9))), cache_));
 }
 
 TEST_F(P2pkhSpendTest, WarmCacheTamperedOutputFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
   tx_.outputs[0].value += 1;
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(P2pkhSpendTest, WarmCacheTamperedSignatureFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
+  ASSERT_TRUE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
   tx_.inputs[0].script_sig[10] ^= 0x01;  // inside r: still valid DER
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_EQ(cache_.size(), 1u);
 }
 
 TEST_F(P2pkhSpendTest, FailedCheckIsNeverCached) {
-  SignatureCache cache;
   tx_.inputs[0].script_sig[10] ^= 0x01;
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, &cache));
-  EXPECT_EQ(cache.checks(), 2u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_FALSE(verify_p2pkh_input(tx_, 0, lock_script_, cache_));
+  EXPECT_EQ(cache_.checks(), 2u);
+  EXPECT_EQ(cache_.size(), 0u);
 }
 
 TEST(SignatureCacheTest, SizeNeverExceedsCapacity) {

@@ -89,6 +89,7 @@ class TaprootSpendTest : public ::testing::Test {
   crypto::SchnorrKeyPair key_ = test_key(7);
   util::Bytes lock_script_ = p2tr_script(key_.pubkey.bytes());
   Transaction tx_;
+  SignatureCache cache_;
 
   void SetUp() override {
     TxIn in;
@@ -102,65 +103,61 @@ class TaprootSpendTest : public ::testing::Test {
 };
 
 TEST_F(TaprootSpendTest, ValidSpendVerifies) {
-  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_));
+  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(TaprootSpendTest, WrongKeyFails) {
   auto other = p2tr_script(test_key(9).pubkey.bytes());
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, other));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, other, cache_));
 }
 
 TEST_F(TaprootSpendTest, TamperedOutputFails) {
   tx_.outputs[0].value += 1;
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(TaprootSpendTest, TamperedSignatureFails) {
   tx_.inputs[0].script_sig[10] ^= 1;
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(TaprootSpendTest, WrongLengthSignatureFails) {
   tx_.inputs[0].script_sig.pop_back();
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(TaprootSpendTest, NonTaprootLockFails) {
   util::Hash160 h;
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2pkh_script(h)));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2pkh_script(h), cache_));
 }
 
 // Warm-cache cases, as for P2PKH: each alteration changes one field of the
 // cached (digest, x-only key, signature) triple.
 TEST_F(TaprootSpendTest, WarmCacheHitSkipsTheCheck) {
-  SignatureCache cache;
-  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
-  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
-  EXPECT_EQ(cache.checks(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
+  EXPECT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
+  EXPECT_EQ(cache_.checks(), 1u);
+  EXPECT_EQ(cache_.size(), 1u);
 }
 
 TEST_F(TaprootSpendTest, WarmCacheWrongKeyFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2tr_script(test_key(9).pubkey.bytes()), &cache));
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, p2tr_script(test_key(9).pubkey.bytes()), cache_));
 }
 
 TEST_F(TaprootSpendTest, WarmCacheTamperedOutputFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
   tx_.outputs[0].value += 1;
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
 }
 
 TEST_F(TaprootSpendTest, WarmCacheTamperedSignatureFails) {
-  SignatureCache cache;
-  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
+  ASSERT_TRUE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
   tx_.inputs[0].script_sig[10] ^= 1;
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
-  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, &cache));
-  EXPECT_EQ(cache.checks(), 3u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
+  EXPECT_FALSE(verify_p2tr_input(tx_, 0, lock_script_, cache_));
+  EXPECT_EQ(cache_.checks(), 3u);
+  EXPECT_EQ(cache_.size(), 1u);
 }
 
 TEST_F(TaprootSpendTest, SighashCommitsToInputIndex) {
