@@ -446,7 +446,6 @@ struct ModeRun {
   double balance_us = 0, balance_hot_us = 0;
   std::vector<std::uint64_t> probes;  // response digest + instruction count per request
   std::uint64_t meter_total = 0;
-  std::uint64_t memo_hits = 0, memo_misses = 0;
   std::uint64_t delta_builds = 0, resident_bytes = 0;
 };
 
@@ -505,13 +504,11 @@ ModeRun run_mode(const ModesWorkload& w, canister::UnstableQueryMode mode) {
   };
 
   probe_utxos(run.utxos_us);
-  probe_utxos(run.utxos_hot_us);  // indexed mode: memoized views
+  probe_utxos(run.utxos_hot_us);  // indexed mode: the index is already synced
   probe_balance(run.balance_us);
   probe_balance(run.balance_hot_us);
 
   run.meter_total = canister.meter().count();
-  run.memo_hits = registry.counter("canister.delta.memo_hits").value();
-  run.memo_misses = registry.counter("canister.delta.memo_misses").value();
   run.delta_builds = registry.counter("canister.delta.builds").value();
   run.resident_bytes = canister.unstable_index().resident_bytes();
   return run;
@@ -564,9 +561,7 @@ RequestModesResult run_request_modes() {
   std::printf("  ingest overhead: scan %.2fms, indexed %.2fms (delta builds: %llu)\n",
               r.scan.ingest_us / 1e3, r.indexed.ingest_us / 1e3,
               static_cast<unsigned long long>(r.indexed.delta_builds));
-  std::printf("  indexed memo: %llu hits / %llu misses; resident deltas: %.1f MiB\n",
-              static_cast<unsigned long long>(r.indexed.memo_hits),
-              static_cast<unsigned long long>(r.indexed.memo_misses),
+  std::printf("  resident deltas: %.1f MiB\n",
               static_cast<double>(r.indexed.resident_bytes) / (1024.0 * 1024.0));
   std::printf("  metering: scan %llu == indexed %llu instructions (%s)\n",
               static_cast<unsigned long long>(r.scan.meter_total),
@@ -615,11 +610,8 @@ bool write_requests_json(const RequestModesResult& r) {
                r.indexed.balance_hot_us > 0 ? r.scan.balance_hot_us / r.indexed.balance_hot_us
                                             : 0.0);
   std::fprintf(out,
-               "  \"delta_index\": {\"builds\": %llu, \"memo_hits\": %llu, "
-               "\"memo_misses\": %llu, \"resident_bytes\": %llu}\n",
+               "  \"delta_index\": {\"builds\": %llu, \"resident_bytes\": %llu}\n",
                static_cast<unsigned long long>(r.indexed.delta_builds),
-               static_cast<unsigned long long>(r.indexed.memo_hits),
-               static_cast<unsigned long long>(r.indexed.memo_misses),
                static_cast<unsigned long long>(r.indexed.resident_bytes));
   std::fprintf(out, "}\n");
   std::fclose(out);

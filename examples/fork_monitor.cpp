@@ -187,9 +187,9 @@ int main(int argc, char** argv) {
 
   // --- The canister's view of the same story: unstable deltas -------------
   // A small Bitcoin canister ingests a fork scenario with full blocks. Every
-  // block arrival builds one delta in the unstable index; repeated queries
-  // land in the tip-keyed memo. The canister.delta.* rows in the table below
-  // show the builds, the memo hit/miss split, and the resident delta bytes
+  // block arrival builds one delta in the unstable index; the first query
+  // after it syncs the index's spent outpoints. The canister.delta.* rows in
+  // the table below show the builds and the resident delta bytes
   // (build_us is wall-clock, wired here via set_delta_build_clock — the
   // registry export is only deterministic when that clock stays detached).
   std::printf("\nReplaying a fork scenario through a Bitcoin canister (delta index):\n");
@@ -247,9 +247,9 @@ int main(int argc, char** argv) {
     feed(feed(spine[1]));  // losing two-block fork: deltas built, then pruned
     for (int i = 0; i < 4; ++i) c_tip = feed(c_tip);
 
-    auto cold = canister.get_balance(address);
-    auto hot = canister.get_balance(address);  // memo hit: same tip, same script
-    std::printf("  balance of %s: %lld satoshi (cold) / %lld (memoized)\n", address.c_str(),
+    auto cold = canister.get_balance(address);  // syncs the index to the tip
+    auto hot = canister.get_balance(address);   // same tip: nothing to sync
+    std::printf("  balance of %s: %lld satoshi (first read) / %lld (repeat)\n", address.c_str(),
                 static_cast<long long>(cold.value), static_cast<long long>(hot.value));
     std::printf("  unstable blocks: %zu, resident deltas: %llu bytes\n",
                 canister.unstable_block_count(),

@@ -194,25 +194,8 @@ std::vector<btcnet::NodeId> BitcoinAdapter::connected_peers() const {
   return peers;
 }
 
-std::vector<Hash256> BitcoinAdapter::build_locator() const {
-  // Locator along the most-work chain of the adapter's tree.
-  std::vector<Hash256> chain = tree_.current_chain();
-  std::vector<Hash256> locator;
-  std::size_t step = 1;
-  std::size_t i = chain.size();
-  while (i > 0) {
-    --i;
-    locator.push_back(chain[i]);
-    if (locator.size() > 10) step *= 2;
-    if (i < step) break;
-    i -= step - 1;
-  }
-  if (locator.empty() || locator.back() != chain.front()) locator.push_back(chain.front());
-  return locator;
-}
-
 void BitcoinAdapter::sync_headers(NodeId peer) {
-  network_->send(id_, peer, MsgGetHeaders{build_locator(), Hash256{}});
+  network_->send(id_, peer, MsgGetHeaders{tree_.locator(), Hash256{}});
 }
 
 void BitcoinAdapter::deliver(NodeId from, const Message& msg) {

@@ -140,7 +140,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   void request_addresses();
   void open_connections();
   void sync_headers(btcnet::NodeId peer);
-  std::vector<util::Hash256> build_locator() const;
   void handle_headers(btcnet::NodeId from, const btcnet::MsgHeaders& msg);
   void handle_inv(btcnet::NodeId from, const btcnet::MsgInv& msg);
   void handle_block(const btcnet::MsgBlock& msg);

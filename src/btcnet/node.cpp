@@ -141,7 +141,7 @@ void BitcoinNode::deliver(NodeId from, const Message& msg) {
 
 void BitcoinNode::on_connected(NodeId peer) {
   // Start header sync with the new peer.
-  network_->send(id_, peer, MsgGetHeaders{build_locator(), Hash256{}});
+  network_->send(id_, peer, MsgGetHeaders{tree_.locator(), Hash256{}});
   if (mempool_.empty()) return;
   // Mempool resync: a (re)connected peer may have diverged arbitrarily —
   // e.g. across a partition — so offer everything we hold. Flooding
@@ -179,23 +179,6 @@ void BitcoinNode::send_tx_inv_chunked(NodeId peer, const std::vector<Hash256>& t
   }
 }
 
-std::vector<Hash256> BitcoinNode::build_locator() const {
-  // Standard exponentially-spaced locator along the best chain.
-  std::vector<Hash256> chain = tree_.current_chain();
-  std::vector<Hash256> locator;
-  std::size_t step = 1;
-  std::size_t i = chain.size();
-  while (i > 0) {
-    --i;
-    locator.push_back(chain[i]);
-    if (locator.size() > 10) step *= 2;
-    if (i < step) break;
-    i -= step - 1;
-  }
-  if (locator.empty() || locator.back() != chain.front()) locator.push_back(chain.front());
-  return locator;
-}
-
 void BitcoinNode::handle_inv(NodeId from, const MsgInv& msg) {
   MsgGetData request;
   for (const auto& hash : msg.block_hashes) {
@@ -224,16 +207,11 @@ void BitcoinNode::handle_inv(NodeId from, const MsgInv& msg) {
 
 void BitcoinNode::handle_get_headers(NodeId from, const MsgGetHeaders& msg) {
   // Find the fork point: first locator entry we know on our best chain.
-  std::vector<Hash256> chain = tree_.current_chain();
-  std::unordered_map<Hash256, std::size_t> position;
-  position.reserve(chain.size());
-  for (std::size_t i = 0; i < chain.size(); ++i) position[chain[i]] = i;
-
+  const std::vector<Hash256>& chain = tree_.current_chain();
   std::size_t start = 0;  // default: from the root
   for (const auto& hash : msg.locator) {
-    auto it = position.find(hash);
-    if (it != position.end()) {
-      start = it->second + 1;
+    if (tree_.on_current_chain(hash)) {
+      start = static_cast<std::size_t>(tree_.find(hash)->height - tree_.root().height) + 1;
       break;
     }
   }
@@ -253,7 +231,7 @@ void BitcoinNode::handle_headers(NodeId from, const MsgHeaders& msg) {
     if (result == chain::AcceptResult::kInvalid) break;  // stop at garbage
     if (result == chain::AcceptResult::kOrphan) {
       // We are behind this peer by more than one batch: restart sync.
-      network_->send(id_, from, MsgGetHeaders{build_locator(), Hash256{}});
+      network_->send(id_, from, MsgGetHeaders{tree_.locator(), Hash256{}});
       return;
     }
     Hash256 hash = header.hash();
@@ -265,7 +243,7 @@ void BitcoinNode::handle_headers(NodeId from, const MsgHeaders& msg) {
   }
   if (!request.block_hashes.empty()) network_->send(id_, from, std::move(request));
   if (msg.headers.size() == kMaxHeadersPerMsg) {
-    network_->send(id_, from, MsgGetHeaders{build_locator(), Hash256{}});
+    network_->send(id_, from, MsgGetHeaders{tree_.locator(), Hash256{}});
   }
 }
 
@@ -469,7 +447,7 @@ bool BitcoinNode::accept_block(const Block& block, NodeId from) {
     if (metrics_.orphan_blocks != nullptr) metrics_.orphan_blocks->inc();
     // Learn the missing ancestry.
     if (from != kInvalidNode) {
-      network_->send(id_, from, MsgGetHeaders{build_locator(), Hash256{}});
+      network_->send(id_, from, MsgGetHeaders{tree_.locator(), Hash256{}});
     }
     return false;
   }
@@ -508,12 +486,11 @@ void BitcoinNode::update_active_chain() {
   Hash256 best = tree_.best_tip();
   if (best == active_tip_) return;
 
-  std::vector<Hash256> target_chain = tree_.current_chain();
-  std::unordered_set<Hash256> on_target(target_chain.begin(), target_chain.end());
+  const std::vector<Hash256>& target_chain = tree_.current_chain();
 
   // Roll back until the active tip lies on the target chain.
   bool rolled_back = false;
-  while (!on_target.contains(active_tip_) && !undo_stack_.empty()) {
+  while (!tree_.on_current_chain(active_tip_) && !undo_stack_.empty()) {
     auto& [hash, undo] = undo_stack_.back();
     utxos_.undo_block(undo);
     // Return the block's non-coinbase transactions to the mempool.

@@ -185,7 +185,6 @@ class BitcoinNode : public Endpoint {
   /// Mode dispatch: flood invs everywhere, or fanout-inv + queue into the
   /// per-peer reconciliation sets.
   void announce_tx(const util::Hash256& txid, NodeId except);
-  std::vector<util::Hash256> build_locator() const;
   std::int64_t now_s() const;
   /// Tries to connect orphan blocks whose parent just arrived.
   void try_connect_orphans();

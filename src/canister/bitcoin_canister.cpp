@@ -326,29 +326,34 @@ Outcome<util::Bytes> BitcoinCanister::script_for(const std::string& address) con
 }
 
 std::pair<Hash256, int> BitcoinCanister::considered_tip(int min_confirmations) const {
-  std::vector<Hash256> chain = tree_.current_chain();
+  const std::vector<Hash256>& chain = tree_.current_chain();
+  int root_height = tree_.root().height;
   if (min_confirmations <= 0) {
-    return {chain.back(), tree_.find(chain.back())->height};
+    return {chain.back(), root_height + static_cast<int>(chain.size()) - 1};
   }
   for (std::size_t i = chain.size(); i-- > 0;) {
     // At most one block per height can be c-stable, and on the current chain
     // stability is monotone towards the root, so the first hit is the tip.
     if (tree_.is_confirmation_stable(chain[i], min_confirmations)) {
-      return {chain[i], tree_.find(chain[i])->height};
+      return {chain[i], root_height + static_cast<int>(i)};
     }
   }
   // Nothing above the anchor qualifies; answer from the stable state.
-  return {tree_.root_hash(), tree_.root().height};
+  return {tree_.root_hash(), root_height};
 }
 
 struct BitcoinCanister::UnstableView {
   std::vector<Utxo> survivors;  // script's unstable UTXOs, newest first
-  /// Every outpoint spent above the anchor (shared with the index's memo on
-  /// the indexed path; owned on the scan path).
-  std::shared_ptr<const std::unordered_set<bitcoin::OutPoint>> spent;
+  /// Scan path: every outpoint spent by the visited unstable blocks.
+  std::unordered_set<bitcoin::OutPoint> scanned_spends;
+  /// Indexed path: the spent index, synced to the chain the view was built
+  /// from, answers for blocks at or below the considered height.
+  const UnstableIndex* index = nullptr;
+  int considered_height = 0;
 
   bool is_spent(const bitcoin::OutPoint& outpoint) const {
-    return spent != nullptr && spent->contains(outpoint);
+    return index != nullptr ? index->spent(outpoint, considered_height)
+                            : scanned_spends.contains(outpoint);
   }
 };
 
@@ -361,12 +366,11 @@ BitcoinCanister::UnstableView BitcoinCanister::unstable_view(const util::Bytes& 
 BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::Bytes& script,
                                                                   int considered_height) {
   UnstableView view;
-  auto spent = std::make_shared<std::unordered_set<bitcoin::OutPoint>>();
   std::vector<Utxo> unstable_added;
 
   // Scan the current chain above the anchor up to the considered height,
   // tracking outputs added for the script and all spends.
-  std::vector<Hash256> chain = tree_.current_chain();
+  const std::vector<Hash256>& chain = tree_.current_chain();
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const auto* entry = tree_.find(chain[i]);
     if (entry->height > considered_height) break;
@@ -375,7 +379,7 @@ BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::By
     meter_.charge(config_.costs.unstable_block_scan);
     for (const auto& tx : block_it->second.transactions) {
       if (!tx.is_coinbase()) {
-        for (const auto& in : tx.inputs) spent->insert(in.prevout);
+        for (const auto& in : tx.inputs) view.scanned_spends.insert(in.prevout);
       }
       Hash256 txid = tx.txid();
       for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
@@ -389,42 +393,30 @@ BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::By
 
   // Unstable outputs spent by later unstable transactions drop out.
   for (const auto& u : unstable_added) {
-    if (!spent->contains(u.outpoint)) view.survivors.push_back(u);
+    if (!view.is_spent(u.outpoint)) view.survivors.push_back(u);
   }
   // Newest first: unstable entries carry the greatest heights.
   std::sort(view.survivors.begin(), view.survivors.end(), [](const Utxo& a, const Utxo& b) {
     return a.height != b.height ? a.height > b.height : a.outpoint < b.outpoint;
   });
-  view.spent = std::move(spent);
   return view;
 }
 
 BitcoinCanister::UnstableView BitcoinCanister::unstable_view_indexed(const util::Bytes& script,
                                                                      int considered_height) {
-  // Chain walk: the same anchor-exclusive prefix the scan visits (stop at
-  // the considered height or the first block-data gap), but touching only
-  // per-block deltas. `unstable_block_scan` is charged per visited block
-  // exactly as the scan charges it.
-  std::vector<Hash256> chain = tree_.current_chain();
-  std::vector<const BlockDelta*> deltas;
-  Hash256 view_key = tree_.root_hash();  // memo key: last visited block
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    const auto* entry = tree_.find(chain[i]);
-    if (entry->height > considered_height) break;
-    const BlockDelta* delta = unstable_index_.delta(chain[i]);
-    if (delta == nullptr) break;  // cannot see past a gap
-    meter_.charge(config_.costs.unstable_block_scan);
-    deltas.push_back(delta);
-    view_key = chain[i];
-  }
-
-  UnstableIndex::View indexed = unstable_index_.view(view_key, script, deltas);
-  // Metering parity: the scan charges one unstable_utxo_read per output
-  // paying the script, survivors and spent-again outputs alike.
+  // The same anchor-exclusive prefix the scan visits (stop at the considered
+  // height or the first block-data gap), read from the index's synced chain.
+  UnstableIndex::View indexed =
+      unstable_index_.view(tree_.current_chain(), script, considered_height);
+  // Metering parity: the scan charges one unstable_block_scan per visited
+  // block and one unstable_utxo_read per output paying the script,
+  // survivors and spent-again outputs alike.
+  meter_.charge(config_.costs.unstable_block_scan * indexed.visited_blocks);
   meter_.charge(config_.costs.unstable_utxo_read * indexed.matched_outputs);
 
   UnstableView view;
-  view.spent = std::move(indexed.spent);
+  view.index = &unstable_index_;
+  view.considered_height = considered_height;
   view.survivors.reserve(indexed.survivors.size());
   for (const auto& u : indexed.survivors) {
     view.survivors.push_back(Utxo{u.outpoint, u.value, u.height});
@@ -549,7 +541,7 @@ Outcome<std::vector<std::uint64_t>> BitcoinCanister::get_current_fee_percentiles
   // Scan the unstable suffix of the current chain. Outputs created earlier
   // in the window (or in the stable set) resolve input values; transactions
   // with unresolvable inputs are skipped, as in the production canister.
-  std::vector<util::Hash256> chain = tree_.current_chain();
+  const std::vector<util::Hash256>& chain = tree_.current_chain();
   std::size_t first =
       chain.size() > static_cast<std::size_t>(config_.fee_window_blocks)
           ? chain.size() - static_cast<std::size_t>(config_.fee_window_blocks)
@@ -623,7 +615,7 @@ Outcome<BitcoinCanister::GetBlockHeadersResponse> BitcoinCanister::get_block_hea
   int anchor = tree_.root().height;
   // stable_headers_ archives heights 0..anchor-1; the anchor itself is the
   // tree root; heights above come from the current chain.
-  std::vector<util::Hash256> chain = tree_.current_chain();
+  const std::vector<util::Hash256>& chain = tree_.current_chain();
   for (int h = start_height; h <= end_height; ++h) {
     meter_.charge(config_.costs.unstable_utxo_read);
     if (h < anchor) {

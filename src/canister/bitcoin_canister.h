@@ -32,7 +32,7 @@ namespace icbtc::canister {
 /// only host wall-clock differs.
 enum class UnstableQueryMode {
   kScan,     // re-scan every unstable block's transactions per request
-  kIndexed,  // chain-ordered BlockDelta lookups + tip-keyed memo
+  kIndexed,  // per-block deltas over the cached chain + a synced spent index
 };
 
 struct CanisterConfig {
@@ -317,14 +317,15 @@ class BitcoinCanister {
   std::pair<util::Hash256, int> considered_tip(int min_confirmations) const;
 
   /// The unstable chain's view up to the considered height for `script`:
-  /// surviving unstable outputs (sorted newest-first) plus the set of all
-  /// outpoints spent by unstable transactions. Dispatches on
+  /// surviving unstable outputs (sorted newest-first) plus a test for the
+  /// outpoints spent by the visited unstable blocks. Dispatches on
   /// config_.unstable_query_mode; both paths charge identical instructions.
   UnstableView unstable_view(const util::Bytes& script, int considered_height);
   /// Naive per-request scan over every unstable block's transactions (the
   /// oracle for the differential tests and the bench baseline).
   UnstableView unstable_view_scan(const util::Bytes& script, int considered_height);
-  /// Chain-ordered BlockDelta lookups with a tip-keyed memo — O(relevant).
+  /// Per-block deltas of the cached current chain with a spent index that
+  /// is synced incrementally — O(relevant).
   UnstableView unstable_view_indexed(const util::Bytes& script, int considered_height);
 
   bool indexed_queries() const {

@@ -16,11 +16,11 @@ std::uint64_t heap_block(std::size_t payload) {
 }  // namespace
 
 std::uint64_t delta_resident_bytes(const BlockDelta& d) {
-  // Capacity-accurate accounting from the actual container shapes: both
-  // hash tables' bucket arrays, one heap node per element (payload + next
-  // pointer), script byte buffers and UTXO vectors at capacity — not the
-  // node-count estimate this replaces. Deterministic for a fixed build
-  // history (bucket growth and vector growth are deterministic).
+  // Capacity-accurate accounting from the actual container shapes: the
+  // script map's bucket array, one heap node per script (payload + next
+  // pointer), script byte buffers, and UTXO and spend vectors at capacity.
+  // Deterministic for a fixed build history (bucket growth and vector growth
+  // are deterministic).
   std::uint64_t bytes = sizeof(BlockDelta);
   bytes += d.added.bucket_count() * sizeof(void*);
   for (const auto& [script, utxos] : d.added) {
@@ -28,8 +28,7 @@ std::uint64_t delta_resident_bytes(const BlockDelta& d) {
     bytes += heap_block(script.capacity());
     bytes += heap_block(utxos.capacity() * sizeof(StoredUtxo));
   }
-  bytes += d.spent.bucket_count() * sizeof(void*);
-  bytes += d.spent.size() * heap_block(sizeof(bitcoin::OutPoint) + sizeof(void*));
+  bytes += heap_block(d.spent.capacity() * sizeof(bitcoin::OutPoint));
   return bytes;
 }
 
@@ -51,9 +50,14 @@ void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& b
   auto delta = std::make_unique<BlockDelta>();
   delta->height = height;
   delta->transactions = txs.size();
+  std::size_t spends = 0;
+  for (const auto& tx : txs) {
+    if (!tx.is_coinbase()) spends += tx.inputs.size();
+  }
+  delta->spent.reserve(spends);
   for (const auto& tx : txs) {
     if (!tx.is_coinbase()) {
-      for (const auto& in : tx.inputs) delta->spent.insert(in.prevout);
+      for (const auto& in : tx.inputs) delta->spent.push_back(in.prevout);
     }
     util::Hash256 txid = tx.txid();
     for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
@@ -75,7 +79,7 @@ void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& b
     span.attr("scripts", static_cast<std::uint64_t>(delta->added.size()));
   }
   deltas_.emplace(hash, std::move(delta));
-  invalidate_memo();
+  ++generation_;
   if (metrics_.builds != nullptr) {
     metrics_.builds->inc();
     if (build_clock_) {
@@ -88,56 +92,71 @@ void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& b
 void UnstableIndex::remove_block(const util::Hash256& hash) {
   auto it = deltas_.find(hash);
   if (it == deltas_.end()) return;
+  unsync(it->second.get());
   resident_bytes_ -= it->second->resident_bytes;
   deltas_.erase(it);
-  invalidate_memo();
+  ++generation_;
   update_gauges();
 }
 
-void UnstableIndex::clear() {
-  deltas_.clear();
-  resident_bytes_ = 0;
-  invalidate_memo();
-  update_gauges();
+void UnstableIndex::unsync(const BlockDelta* delta) {
+  auto it = std::find(synced_.begin(), synced_.end(), delta);
+  if (it == synced_.end()) return;
+  unindex_spends(*delta);
+  synced_.erase(it);
 }
 
-void UnstableIndex::invalidate_memo() {
-  memo_.clear();
-  spent_memo_.clear();
-}
-
-std::shared_ptr<const UnstableIndex::SpentSet> UnstableIndex::spent_union(
-    const util::Hash256& key, const std::vector<const BlockDelta*>& deltas) {
-  if (auto it = spent_memo_.find(key); it != spent_memo_.end()) return it->second;
-  auto merged = std::make_shared<SpentSet>();
-  std::size_t total = 0;
-  for (const auto* d : deltas) total += d->spent.size();
-  merged->reserve(total);
-  for (const auto* d : deltas) merged->insert(d->spent.begin(), d->spent.end());
-  if (spent_memo_.size() >= kMemoCapacity) spent_memo_.clear();
-  spent_memo_.emplace(key, merged);
-  return merged;
-}
-
-UnstableIndex::View UnstableIndex::view(const util::Hash256& key, const util::Bytes& script,
-                                        const std::vector<const BlockDelta*>& deltas) {
-  MemoKey memo_key{key, script};
-  if (auto it = memo_.find(memo_key); it != memo_.end()) {
-    if (metrics_.memo_hits != nullptr) metrics_.memo_hits->inc();
-    return it->second;
+void UnstableIndex::unindex_spends(const BlockDelta& delta) {
+  for (const auto& outpoint : delta.spent) {
+    auto [first, last] = spent_.equal_range(outpoint);
+    auto it = std::find_if(first, last, [&](const auto& e) { return e.second == delta.height; });
+    if (it != last) spent_.erase(it);
   }
-  if (metrics_.memo_misses != nullptr) metrics_.memo_misses->inc();
+}
 
+void UnstableIndex::sync(const std::vector<util::Hash256>& chain) {
+  if (chain.back() == synced_tip_ && chain.front() == synced_root_ &&
+      generation_ == synced_generation_) {
+    return;
+  }
+  // Keep the synced deltas up to the first one that differs from the
+  // chain's; replace the rest with the chain's deltas up to its first gap.
+  std::size_t n = 0;
+  while (n < synced_.size() && n + 1 < chain.size() && synced_[n] == delta(chain[n + 1])) ++n;
+  while (synced_.size() > n) {
+    unindex_spends(*synced_.back());
+    synced_.pop_back();
+  }
+  for (; n + 1 < chain.size(); ++n) {
+    const BlockDelta* d = delta(chain[n + 1]);
+    if (d == nullptr) break;
+    for (const auto& outpoint : d->spent) spent_.emplace(outpoint, d->height);
+    synced_.push_back(d);
+  }
+  synced_tip_ = chain.back();
+  synced_root_ = chain.front();
+  synced_generation_ = generation_;
+}
+
+bool UnstableIndex::spent(const bitcoin::OutPoint& outpoint, int height) const {
+  auto [first, last] = spent_.equal_range(outpoint);
+  return std::any_of(first, last, [&](const auto& e) { return e.second <= height; });
+}
+
+UnstableIndex::View UnstableIndex::view(const std::vector<util::Hash256>& chain,
+                                        const util::Bytes& script, int height) {
+  sync(chain);
   View v;
-  v.spent = spent_union(key, deltas);
   std::size_t script_hash = ScriptHash{}(script);
-  for (const auto* d : deltas) {
+  for (const BlockDelta* d : synced_) {
+    if (d->height > height) break;
+    ++v.visited_blocks;
     if (!d->filter.may_contain(script_hash)) continue;
     auto it = d->added.find(script);
     if (it == d->added.end()) continue;
     v.matched_outputs += it->second.size();
     for (const auto& u : it->second) {
-      if (!v.spent->contains(u.outpoint)) v.survivors.push_back(u);
+      if (!spent(u.outpoint, height)) v.survivors.push_back(u);
     }
   }
   // Newest first, exactly the scan path's order (heights are unique per
@@ -145,8 +164,6 @@ UnstableIndex::View UnstableIndex::view(const util::Hash256& key, const util::By
   std::sort(v.survivors.begin(), v.survivors.end(), [](const StoredUtxo& a, const StoredUtxo& b) {
     return a.height != b.height ? a.height > b.height : a.outpoint < b.outpoint;
   });
-  if (memo_.size() >= kMemoCapacity) memo_.clear();
-  memo_.emplace(std::move(memo_key), v);
   return v;
 }
 
@@ -156,8 +173,6 @@ void UnstableIndex::set_metrics(obs::MetricsRegistry* registry) {
     return;
   }
   metrics_.builds = &registry->counter("canister.delta.builds");
-  metrics_.memo_hits = &registry->counter("canister.delta.memo_hits");
-  metrics_.memo_misses = &registry->counter("canister.delta.memo_misses");
   metrics_.resident = &registry->gauge("canister.delta.resident_bytes");
   metrics_.blocks = &registry->gauge("canister.delta.blocks");
   metrics_.build_us = &registry->histogram("canister.delta.build_us",

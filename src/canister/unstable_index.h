@@ -6,26 +6,23 @@
 // per call, hundreds of thousands of tx visits at mainnet shape (δ=144
 // blocks above the anchor). This index makes the read path O(relevant): when
 // a block enters the unstable set its per-block delta is computed exactly
-// once — `scriptPubKey → outputs added` plus the block's spent-outpoint set
-// and a bloom-style "may touch script" summary for cheap negative lookups —
-// and queries assemble their view from chain-ordered delta lookups, with a
-// tip-keyed memo so repeated queries for hot scripts touch only their own
-// entries.
+// once — `scriptPubKey → outputs added` plus the outpoints the block spends
+// and a bloom-style "may touch script" summary for cheap negative lookups.
+// A read syncs the index to the current chain: it caches the chain's deltas
+// above the anchor and keeps an `outpoint → spending heights` index over
+// them, both updated only for the blocks that changed since the last read.
 //
 // Metering contract: the index changes HOST wall-clock only. The instruction
 // meter models the IC canister's measured request costs (Fig. 7), so the
 // indexed path must charge exactly what the scan would have:
-// `unstable_block_scan` per chain block visited (charged during the
-// canister's chain walk) and `unstable_utxo_read` per matching output —
-// View reports `matched_outputs` and the canister charges it, memo hit or
-// miss alike.
+// `unstable_block_scan` per chain block visited and `unstable_utxo_read` per
+// matching output — View reports both counts and the canister charges them.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bitcoin/block.h"
@@ -66,14 +63,14 @@ class ScriptFilter {
 /// Everything a query needs to know about one unstable block, computed once
 /// at block arrival: outputs grouped by scriptPubKey (in transaction order,
 /// OP_RETURN outputs included — the scan path visits and meters them too)
-/// and the set of outpoints the block spends.
+/// and the outpoints the block's inputs spend (in transaction order).
 struct BlockDelta {
   int height = 0;
   std::size_t transactions = 0;
   std::size_t added_outputs = 0;
   ScriptFilter filter;
   std::unordered_map<util::Bytes, std::vector<StoredUtxo>, ScriptHash> added;
-  std::unordered_set<bitcoin::OutPoint> spent;
+  std::vector<bitcoin::OutPoint> spent;
   /// Exact host-side footprint of this delta at build time (computed by
   /// delta_resident_bytes; deterministic).
   std::uint64_t resident_bytes = 0;
@@ -87,14 +84,12 @@ std::uint64_t delta_resident_bytes(const BlockDelta& delta);
 
 class UnstableIndex {
  public:
-  using SpentSet = std::unordered_set<bitcoin::OutPoint>;
-
   /// A script's assembled unstable view plus the charge counts the canister
   /// must replay against the instruction meter (identical to the scan path).
   struct View {
     std::vector<StoredUtxo> survivors;  // newest first: height desc, outpoint asc
-    std::shared_ptr<const SpentSet> spent;  // every outpoint spent by visited blocks
-    std::size_t matched_outputs = 0;        // charged unstable_utxo_read each
+    std::size_t visited_blocks = 0;     // charged unstable_block_scan each
+    std::size_t matched_outputs = 0;    // charged unstable_utxo_read each
   };
 
   /// Builds and stores the delta for `hash`. Txid hashing — the expensive
@@ -107,7 +102,7 @@ class UnstableIndex {
   void remove_block(const util::Hash256& hash);
 
   /// Drops every delta for which keep(hash) is false (anchor advance /
-  /// reorg pruning) and invalidates the memo.
+  /// reorg pruning).
   template <typename Keep>
   void prune(Keep&& keep) {
     bool changed = false;
@@ -115,43 +110,41 @@ class UnstableIndex {
       if (keep(it->first)) {
         ++it;
       } else {
+        unsync(it->second.get());
         resident_bytes_ -= it->second->resident_bytes;
         it = deltas_.erase(it);
         changed = true;
       }
     }
     if (changed) {
-      invalidate_memo();
+      ++generation_;
       update_gauges();
     }
   }
-
-  void clear();
 
   const BlockDelta* delta(const util::Hash256& hash) const {
     auto it = deltas_.find(hash);
     return it == deltas_.end() ? nullptr : it->second.get();
   }
 
-  /// Assembles (and memoizes) the view for `script` over the chain-ordered
-  /// delta sequence `deltas` — the anchor-exclusive prefix of the current
-  /// chain the canister walked, ending at the block `key`. Two calls with the
-  /// same key between invalidations see the same chain prefix, so the memo is
-  /// sound; any delta mutation invalidates it. Deterministic.
-  View view(const util::Hash256& key, const util::Bytes& script,
-            const std::vector<const BlockDelta*>& deltas);
+  /// Assembles the view for `script` over the blocks of `chain` (a header
+  /// tree's current chain, root first) above the root, up to `height` and
+  /// the first block without a delta. Syncs the index to `chain` first when
+  /// the tip, the root or the delta set changed since the last call; the
+  /// sync touches only the blocks that changed. Deterministic.
+  View view(const std::vector<util::Hash256>& chain, const util::Bytes& script, int height);
 
-  /// Drops all memoized views and spent-set unions. Called by every delta
-  /// mutation (block arrival, anchor advance, reorg pruning).
-  void invalidate_memo();
+  /// True iff a block of the last synced chain at or below `height` spends
+  /// `outpoint`.
+  bool spent(const bitcoin::OutPoint& outpoint, int height) const;
 
   std::size_t size() const { return deltas_.size(); }
   std::uint64_t resident_bytes() const { return resident_bytes_; }
 
   /// Attaches a metrics registry (nullptr detaches): `canister.delta.*` —
-  /// builds counter, memo hit/miss counters, resident-bytes and block-count
-  /// gauges, and a build-duration histogram (only fed when a build clock is
-  /// installed, keeping default metric exports deterministic).
+  /// builds counter, resident-bytes and block-count gauges, and a
+  /// build-duration histogram (only fed when a build clock is installed,
+  /// keeping default metric exports deterministic).
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): every delta build emits a
@@ -166,35 +159,29 @@ class UnstableIndex {
   }
 
  private:
-  struct MemoKey {
-    util::Hash256 considered;
-    util::Bytes script;
-    bool operator==(const MemoKey&) const = default;
-  };
-  struct MemoKeyHash {
-    std::size_t operator()(const MemoKey& k) const noexcept {
-      return std::hash<util::Hash256>{}(k.considered) * 0x9e3779b97f4a7c15ULL ^
-             ScriptHash{}(k.script);
-    }
-  };
-
-  std::shared_ptr<const SpentSet> spent_union(const util::Hash256& key,
-                                              const std::vector<const BlockDelta*>& deltas);
+  /// Brings synced_ and spent_ up to date with `chain`.
+  void sync(const std::vector<util::Hash256>& chain);
+  /// Drops `delta` from synced_, taking its spends out of spent_.
+  void unsync(const BlockDelta* delta);
+  void unindex_spends(const BlockDelta& delta);
   void update_gauges();
 
   std::unordered_map<util::Hash256, std::unique_ptr<BlockDelta>> deltas_;
   std::uint64_t resident_bytes_ = 0;
+  /// Bumped by every delta mutation; part of the sync key.
+  std::uint64_t generation_ = 0;
 
-  /// Tip-keyed memo. Bounded: wholesale flush at capacity keeps eviction
-  /// deterministic and the bookkeeping trivial.
-  static constexpr std::size_t kMemoCapacity = 4096;
-  std::unordered_map<MemoKey, View, MemoKeyHash> memo_;
-  std::unordered_map<util::Hash256, std::shared_ptr<const SpentSet>> spent_memo_;
+  /// Sync state: the deltas of the synced chain above its root in chain
+  /// order, and every outpoint they spend with the spending block's height.
+  /// Holds only live deltas: removing a delta unsyncs it.
+  std::vector<const BlockDelta*> synced_;
+  std::unordered_multimap<bitcoin::OutPoint, int> spent_;
+  util::Hash256 synced_tip_;
+  util::Hash256 synced_root_;
+  std::uint64_t synced_generation_ = 0;
 
   struct Metrics {
     obs::Counter* builds = nullptr;
-    obs::Counter* memo_hits = nullptr;
-    obs::Counter* memo_misses = nullptr;
     obs::Gauge* resident = nullptr;
     obs::Gauge* blocks = nullptr;
     obs::Histogram* build_us = nullptr;

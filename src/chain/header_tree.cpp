@@ -26,7 +26,7 @@ HeaderTree::HeaderTree(const bitcoin::ChainParams& params, const BlockHeader& ro
   e.cumulative_work = root_prev_work + e.block_work;
   e.parent = root.prev_hash;
   root_ = e.hash;
-  best_tip_ = e.hash;
+  chain_.push_back(e.hash);
   max_height_ = root_height;
   by_height_[root_height].push_back(e.hash);
   tips_.insert(e.hash);
@@ -128,21 +128,43 @@ void HeaderTree::insert_unchecked(const BlockHeader& header) {
   by_height_[e.height].push_back(e.hash);
   max_height_ = std::max(max_height_, e.height);
   // First-seen wins ties: only strictly more work displaces the best tip.
-  const Entry& best = entries_.at(best_tip_);
-  if (e.cumulative_work > best.cumulative_work) best_tip_ = e.hash;
-  entries_.emplace(e.hash, std::move(e));
+  bool better = e.cumulative_work > entries_.at(best_tip()).cumulative_work;
+  Hash256 hash = e.hash;
+  entries_.emplace(hash, std::move(e));
+  if (better) set_best_tip(hash);
 }
 
-std::vector<Hash256> HeaderTree::current_chain() const {
-  std::vector<Hash256> chain;
-  Hash256 cur = best_tip_;
-  for (;;) {
-    chain.push_back(cur);
-    if (cur == root_) break;
-    cur = entries_.at(cur).parent;
+void HeaderTree::set_best_tip(const Hash256& tip) {
+  std::vector<Hash256> branch;
+  const Entry* cur = &entries_.at(tip);
+  while (!on_current_chain(cur->hash)) {
+    branch.push_back(cur->hash);
+    cur = &entries_.at(cur->parent);
   }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
+  chain_.resize(static_cast<std::size_t>(cur->height - root().height) + 1);
+  chain_.insert(chain_.end(), branch.rbegin(), branch.rend());
+}
+
+bool HeaderTree::on_current_chain(const Hash256& hash) const {
+  const Entry* e = find(hash);
+  if (e == nullptr) return false;
+  auto index = static_cast<std::size_t>(e->height - root().height);
+  return index < chain_.size() && chain_[index] == hash;
+}
+
+std::vector<Hash256> HeaderTree::locator() const {
+  std::vector<Hash256> locator;
+  std::size_t step = 1;
+  std::size_t i = chain_.size();
+  while (i > 0) {
+    --i;
+    locator.push_back(chain_[i]);
+    if (locator.size() > 10) step *= 2;
+    if (i < step) break;
+    i -= step - 1;
+  }
+  if (locator.back() != chain_.front()) locator.push_back(chain_.front());
+  return locator;
 }
 
 std::vector<Hash256> HeaderTree::blocks_at_height(int height) const {
@@ -267,12 +289,17 @@ void HeaderTree::reroot(const Hash256& keep) {
   root_ = keep;
   entries_.at(root_).parent = Hash256{};
 
-  // max height and best tip may have lived on a deleted branch.
+  // max height and best tip may have lived on a deleted branch. A surviving
+  // best tip stays (first-seen wins ties), and its chain loses the old root.
   max_height_ = 0;
   for (const auto& [height, hashes] : by_height_) {
     if (!hashes.empty()) max_height_ = std::max(max_height_, height);
   }
-  recompute_best_tip();
+  if (entries_.contains(best_tip())) {
+    chain_.erase(chain_.begin());
+  } else {
+    recompute_best_tip();
+  }
 }
 
 void HeaderTree::recompute_best_tip() {
@@ -286,7 +313,12 @@ void HeaderTree::recompute_best_tip() {
       best = &e;
     }
   }
-  best_tip_ = best != nullptr ? best->hash : root_;
+  chain_.clear();
+  for (Hash256 cur = best != nullptr ? best->hash : root_;; cur = entries_.at(cur).parent) {
+    chain_.push_back(cur);
+    if (cur == root_) break;
+  }
+  std::reverse(chain_.begin(), chain_.end());
 }
 
 }  // namespace icbtc::chain

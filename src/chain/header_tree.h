@@ -85,12 +85,22 @@ class HeaderTree {
 
   /// The tip of the current blockchain: maximizes cumulative work
   /// (first-seen wins ties, as in Bitcoin Core).
-  Hash256 best_tip() const { return best_tip_; }
-  int best_height() const { return entries_.at(best_tip_).height; }
+  Hash256 best_tip() const { return chain_.back(); }
+  int best_height() const { return entries_.at(chain_.back()).height; }
   int max_height() const { return max_height_; }
 
-  /// The current blockchain from the root to the best tip (inclusive).
-  std::vector<Hash256> current_chain() const;
+  /// The current blockchain from the root to the best tip (inclusive),
+  /// indexed by height above the root. Maintained incrementally by accept()
+  /// and reroot(); the reference is valid until the next mutation.
+  const std::vector<Hash256>& current_chain() const { return chain_; }
+
+  /// True iff `hash` is a block of the current blockchain.
+  bool on_current_chain(const Hash256& hash) const;
+
+  /// Block locator for getheaders: the current chain's hashes from the tip
+  /// back, the ten most recent one by one and then at doubling steps,
+  /// always ending with the root.
+  std::vector<Hash256> locator() const;
 
   /// Hashes of all blocks at the given height.
   std::vector<Hash256> blocks_at_height(int height) const;
@@ -135,6 +145,11 @@ class HeaderTree {
 
  private:
   void insert_unchecked(const BlockHeader& header);
+  /// Moves the best tip to `tip`, replacing the current chain above its
+  /// fork point with the branch leading to `tip`.
+  void set_best_tip(const Hash256& tip);
+  /// Re-derives the best tip and the current chain from all tips; reroot()
+  /// calls it when the best tip was pruned.
   void recompute_best_tip();
   /// Collects the tips lying in the subtree of `hash`.
   std::vector<const Entry*> subtree_tips(const Hash256& hash) const;
@@ -145,7 +160,7 @@ class HeaderTree {
   std::unordered_map<int, std::vector<Hash256>> by_height_;
   std::unordered_set<Hash256> tips_;
   Hash256 root_;
-  Hash256 best_tip_;
+  std::vector<Hash256> chain_;  // the current chain: root .. best tip
   int max_height_ = 0;
 };
 

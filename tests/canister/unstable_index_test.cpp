@@ -1,6 +1,7 @@
-// The unstable-block delta index: unit tests for the filter/delta/memo
-// machinery plus the randomized differential test pitting the indexed read
-// path against the naive scan (kept as the test oracle). The contract is
+// The unstable-block delta index: unit tests for the filter and delta
+// machinery, canister-level read-path tests against a scan twin, plus the
+// randomized differential test pitting the indexed read path against the
+// naive scan (kept as the test oracle). The contract is
 // strict: responses AND metered instruction totals must be byte-identical
 // across workloads with reorgs across the anchor, pruned forks, and
 // unstable-chain gaps.
@@ -124,15 +125,37 @@ TEST(UnstableIndexTest, DeltaConstructionIsPoolInvariant) {
   EXPECT_EQ(a->resident_bytes, b->resident_bytes);
 }
 
-// ---------------------------------------------------------------------------
-// Canister-level: memo behavior and invalidation (via canister.delta.*)
+TEST(UnstableIndexTest, RemovingSyncedDeltaDropsItsSpends) {
+  Block block = delta_test_block(3, 23);
+  UnstableIndex index;
+  index.add_block(block.hash(), block, 1, nullptr);
+  Hash256 root;
+  root.data[0] = 1;
+  (void)index.view({root, block.hash()}, bitcoin::p2pkh_script(util::Hash160{}), 1);
+  const bitcoin::OutPoint spent = block.transactions[1].inputs[0].prevout;
+  EXPECT_TRUE(index.spent(spent, 1));
+  EXPECT_FALSE(index.spent(spent, 0));  // spent above the considered height
+  index.remove_block(block.hash());
+  EXPECT_FALSE(index.spent(spent, 1));
+}
 
-class DeltaMemoTest : public ::testing::Test {
+// ---------------------------------------------------------------------------
+// Canister-level read path: every read is replayed on a kScan twin fed the
+// same blocks, and must return the same response for the same instructions.
+
+class UnstableReadTest : public ::testing::Test {
  protected:
-  DeltaMemoTest()
+  UnstableReadTest()
       : canister_(params_, CanisterConfig::for_params(params_)),
+        twin_(params_, scan_config()),
         build_tree_(params_, params_.genesis_header) {
     canister_.set_metrics(&registry_);
+  }
+
+  static CanisterConfig scan_config() {
+    auto c = CanisterConfig::for_params(ChainParams::regtest());
+    c.unstable_query_mode = UnstableQueryMode::kScan;
+    return c;
   }
 
   util::Bytes script(std::uint8_t tag) {
@@ -147,74 +170,200 @@ class DeltaMemoTest : public ::testing::Test {
     return bitcoin::p2pkh_address(h, bitcoin::Network::kRegtest);
   }
 
-  void feed_one(std::uint8_t tag) {
+  static bitcoin::Transaction spend(const bitcoin::OutPoint& prevout, util::Bytes to) {
+    bitcoin::Transaction tx;
+    tx.inputs.push_back(bitcoin::TxIn{prevout, {}, 0xffffffff});
+    tx.outputs.push_back(bitcoin::TxOut{kSpent, std::move(to)});
+    return tx;
+  }
+
+  static bitcoin::OutPoint coinbase_of(const Block& block) {
+    return bitcoin::OutPoint{block.transactions[0].txid(), 0};
+  }
+
+  /// Mines a block on `parent` whose coinbase pays `tag`, without feeding it.
+  Block mine(const Hash256& parent, std::uint8_t tag, std::vector<bitcoin::Transaction> txs = {}) {
     time_ += 600;
-    Block b = chain::build_child_block(build_tree_, tip_, time_, script(tag),
-                                       50 * bitcoin::kCoin, {}, tag_++);
-    tip_ = b.hash();
-    build_tree_.accept(b.header, now_s());
+    Block b = chain::build_child_block(build_tree_, parent, time_, script(tag), kSubsidy,
+                                       std::move(txs), tag_++);
+    EXPECT_EQ(build_tree_.accept(b.header, now_s()), chain::AcceptResult::kAccepted);
+    return b;
+  }
+
+  /// Feeds blocks (with their data) and then bare headers to both canisters.
+  void deliver(const std::vector<Block>& blocks,
+               const std::vector<bitcoin::BlockHeader>& headers = {}) {
     adapter::AdapterResponse response;
-    response.blocks.emplace_back(b, b.header);
+    for (const auto& b : blocks) response.blocks.emplace_back(b, b.header);
+    response.next_headers = headers;
     canister_.process_response(response, now_s());
+    twin_.process_response(response, now_s());
+  }
+
+  Block feed(const Hash256& parent, std::uint8_t tag, std::vector<bitcoin::Transaction> txs = {}) {
+    Block b = mine(parent, tag, std::move(txs));
+    deliver({b});
+    return b;
+  }
+
+  Block feed_tip(std::uint8_t tag, std::vector<bitcoin::Transaction> txs = {}) {
+    Block b = feed(tip_, tag, std::move(txs));
+    tip_ = b.hash();
+    return b;
+  }
+
+  /// Reads `tag`'s balance and UTXOs from both canisters, expects identical
+  /// responses and instruction charges, and returns the balance.
+  bitcoin::Amount read(std::uint8_t tag, int min_confirmations = 0) {
+    ic::InstructionMeter::Segment indexed_cost(canister_.meter());
+    auto balance = canister_.get_balance(address(tag), min_confirmations);
+    GetUtxosRequest request{address(tag), min_confirmations, std::nullopt};
+    auto utxos = canister_.get_utxos(request);
+    std::uint64_t cost = indexed_cost.sample();
+
+    ic::InstructionMeter::Segment scan_cost(twin_.meter());
+    auto expected_balance = twin_.get_balance(address(tag), min_confirmations);
+    auto expected_utxos = twin_.get_utxos(request);
+    EXPECT_EQ(cost, scan_cost.sample());
+    EXPECT_TRUE(balance.ok());
+    EXPECT_EQ(balance.status, expected_balance.status);
+    EXPECT_EQ(balance.value, expected_balance.value);
+    EXPECT_EQ(utxos.status, expected_utxos.status);
+    EXPECT_EQ(utxos.value.utxos, expected_utxos.value.utxos);
+    EXPECT_EQ(utxos.value.tip_hash, expected_utxos.value.tip_hash);
+    return balance.value;
   }
 
   std::int64_t now_s() const { return static_cast<std::int64_t>(time_) + 4000; }
 
-  std::uint64_t hits() { return registry_.counter("canister.delta.memo_hits").value(); }
-  std::uint64_t misses() { return registry_.counter("canister.delta.memo_misses").value(); }
+  static constexpr bitcoin::Amount kSubsidy = 50 * bitcoin::kCoin;
+  static constexpr bitcoin::Amount kSpent = 49 * bitcoin::kCoin;
 
-  const ChainParams& params_ = ChainParams::regtest();
+  const ChainParams& params_ = ChainParams::regtest();  // δ=6, τ=2
   obs::MetricsRegistry registry_;
   BitcoinCanister canister_;
+  BitcoinCanister twin_;
   chain::HeaderTree build_tree_;
   Hash256 tip_ = params_.genesis_header.hash();
   std::uint32_t time_ = params_.genesis_header.time;
   std::uint64_t tag_ = 1;
 };
 
-TEST_F(DeltaMemoTest, RepeatQueriesHitAndChargeIdentically) {
-  for (int i = 0; i < 4; ++i) feed_one(1);
+TEST_F(UnstableReadTest, RepeatReadsChargeIdentically) {
+  for (int i = 0; i < 4; ++i) feed_tip(1);
   ASSERT_EQ(registry_.counter("canister.delta.builds").value(), 4u);
 
   ic::InstructionMeter::Segment first(canister_.meter());
   auto cold = canister_.get_balance(address(1));
   std::uint64_t cold_cost = first.sample();
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(misses(), 1u);
-  EXPECT_EQ(hits(), 0u);
+  EXPECT_EQ(cold.value, 4 * kSubsidy);
 
   ic::InstructionMeter::Segment second(canister_.meter());
   auto hot = canister_.get_balance(address(1));
-  std::uint64_t hot_cost = second.sample();
   ASSERT_TRUE(hot.ok());
   EXPECT_EQ(hot.value, cold.value);
-  EXPECT_EQ(hits(), 1u);
-  // The metering contract: the memo changes host time only, never the
-  // modelled instruction count.
-  EXPECT_EQ(hot_cost, cold_cost);
+  // The metering contract: the first read after a change syncs the index,
+  // which changes host time only, never the modelled instruction count.
+  EXPECT_EQ(second.sample(), cold_cost);
 }
 
-TEST_F(DeltaMemoTest, BlockArrivalInvalidatesMemo) {
-  for (int i = 0; i < 3; ++i) feed_one(1);
-  (void)canister_.get_balance(address(1));
-  (void)canister_.get_balance(address(1));
-  EXPECT_EQ(hits(), 1u);
+TEST_F(UnstableReadTest, BlockArrivalVisibleToNextRead) {
+  Block funding = feed_tip(1);
+  for (int i = 0; i < 2; ++i) feed_tip(1);
+  EXPECT_EQ(read(1), 3 * kSubsidy);
 
-  feed_one(1);  // delta mutation: memo flushed
-  auto fresh = canister_.get_balance(address(1));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh.value, 4 * 50 * bitcoin::kCoin);
-  EXPECT_EQ(hits(), 1u);  // no stale hit
-  EXPECT_EQ(misses(), 2u);
+  feed_tip(1);
+  EXPECT_EQ(read(1), 4 * kSubsidy);
+
+  // So is a spend: the next block moves the first coinbase to tag 2.
+  feed_tip(3, {spend(coinbase_of(funding), script(2))});
+  EXPECT_EQ(read(1), 3 * kSubsidy);
+  EXPECT_EQ(read(2), kSpent);
+
+  // A block whose data arrives after its header and its child's block
+  // extends the next read, although the best tip stays put.
+  Block gap = mine(tip_, 1);
+  Block after = mine(gap.hash(), 1);
+  tip_ = after.hash();
+  deliver({}, {gap.header, after.header});
+  deliver({after});
+  EXPECT_EQ(read(1), 3 * kSubsidy);
+  deliver({gap});
+  ASSERT_EQ(canister_.header_tree().best_tip(), after.hash());
+  EXPECT_EQ(read(1), 5 * kSubsidy);
 }
 
-TEST_F(DeltaMemoTest, AnchorAdvanceShrinksIndex) {
-  for (int i = 0; i < 10; ++i) feed_one(1);  // δ=6: anchor advances
+TEST_F(UnstableReadTest, AnchorAdvanceShrinksIndex) {
+  for (int i = 0; i < 10; ++i) feed_tip(1);  // δ=6: anchor advances
   EXPECT_GT(canister_.anchor_height(), 0);
   EXPECT_EQ(canister_.unstable_index().size(), canister_.unstable_block_count());
-  auto balance = canister_.get_balance(address(1));
-  ASSERT_TRUE(balance.ok());
-  EXPECT_EQ(balance.value, 10 * 50 * bitcoin::kCoin);
+  EXPECT_EQ(read(1), 10 * kSubsidy);
+}
+
+TEST_F(UnstableReadTest, ReorgAwayFromSpendRestoresOutput) {
+  Block funding = feed_tip(1);  // height 1 pays tag 1
+  Hash256 fork = tip_;
+  feed_tip(2, {spend(coinbase_of(funding), script(3))});
+  feed_tip(2);
+  // At min_confirmations 0 the spend at height 2 is visible; at 3 the
+  // considered tip is height 1, below the spend.
+  EXPECT_EQ(read(1), 0);
+  EXPECT_EQ(read(3), kSpent);
+  EXPECT_EQ(read(1, 3), kSubsidy);
+  EXPECT_EQ(read(3, 3), 0);
+
+  // A longer branch from height 1 without the spend takes over, first as
+  // bare headers (reads stop at the fork point), then with its blocks.
+  std::vector<Block> branch;
+  Hash256 parent = fork;
+  for (int i = 0; i < 3; ++i) {
+    branch.push_back(mine(parent, 4));
+    parent = branch.back().hash();
+  }
+  deliver({}, {branch[0].header, branch[1].header, branch[2].header});
+  ASSERT_EQ(canister_.header_tree().best_tip(), parent);
+  EXPECT_EQ(read(1), kSubsidy);
+  EXPECT_EQ(read(3), 0);
+  deliver(branch);
+  EXPECT_EQ(read(1), kSubsidy);
+  EXPECT_EQ(read(3), 0);
+  EXPECT_EQ(read(4), 3 * kSubsidy);
+  EXPECT_EQ(read(1, 1), kSubsidy);
+  EXPECT_EQ(read(1, 3), kSubsidy);
+}
+
+TEST_F(UnstableReadTest, PrunedBranchTakesItsSpends) {
+  Block funding = feed_tip(1);
+  Hash256 fork = tip_;
+  feed_tip(2, {spend(coinbase_of(funding), script(3))});
+  EXPECT_EQ(read(1), 0);  // syncs the index to the spending branch
+  // A branch without the spend overtakes and becomes stable before the next
+  // read: pruning the spending branch must take its spends along.
+  Hash256 parent = fork;
+  for (int i = 0; i < 8; ++i) parent = feed(parent, 4).hash();
+  ASSERT_GT(canister_.anchor_height(), 2);
+  EXPECT_EQ(read(1), kSubsidy);
+  EXPECT_EQ(read(3), 0);
+}
+
+TEST_F(UnstableReadTest, StableSpendMatchesScanTwin) {
+  Block funding = feed_tip(1);
+  feed_tip(2, {spend(coinbase_of(funding), script(3))});
+  // Read after every block, so the index stays synced while the anchor
+  // passes the funding block (a stable output spent by an unstable block)
+  // and then the spending block.
+  for (int i = 0; i < 10; ++i) {
+    for (std::uint8_t tag = 1; tag <= 3; ++tag) {
+      read(tag);
+      read(tag, 2);
+    }
+    feed_tip(2);
+  }
+  ASSERT_GT(canister_.anchor_height(), 2);
+  EXPECT_EQ(read(1), 0);
+  EXPECT_EQ(read(3), kSpent);
+  EXPECT_EQ(canister_.utxo_digest(), twin_.utxo_digest());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "chain/block_builder.h"
+#include "util/rng.h"
 
 namespace icbtc::chain {
 namespace {
@@ -285,6 +289,102 @@ TEST_F(HeaderTreeTest, RerootRecomputesBestTipFromSurvivors) {
   tree_.reroot(m[0]);
   EXPECT_EQ(tree_.best_tip(), m.back());
   EXPECT_EQ(tree_.max_height(), 2);
+}
+
+TEST_F(HeaderTreeTest, RerootKeepsFirstSeenTipOnTie) {
+  Hash256 keep = extend(tree_.root_hash(), 1);
+  // Two equal-work children of `keep`, the higher hash seen first: a
+  // lowest-hash tie-break would pick the other one.
+  time_ += 600;
+  Hash256 merkle_a, merkle_b;
+  merkle_a.data[0] = 2;
+  merkle_b.data[0] = 3;
+  auto first = build_child_header(tree_, keep, time_, merkle_a);
+  auto second = build_child_header(tree_, keep, time_, merkle_b);
+  if (first.hash() < second.hash()) std::swap(first, second);
+  ASSERT_EQ(tree_.accept(first, now_), AcceptResult::kAccepted);
+  ASSERT_EQ(tree_.accept(second, now_), AcceptResult::kAccepted);
+  ASSERT_EQ(tree_.best_tip(), first.hash());
+
+  tree_.reroot(keep);
+  EXPECT_EQ(tree_.best_tip(), first.hash());
+  EXPECT_EQ(tree_.current_chain(), (std::vector<Hash256>{keep, first.hash()}));
+}
+
+/// The locator algorithm the btcnet node and the adapter each carried before
+/// HeaderTree::locator(), kept as the reference.
+std::vector<Hash256> reference_locator(const std::vector<Hash256>& chain) {
+  std::vector<Hash256> locator;
+  std::size_t step = 1;
+  std::size_t i = chain.size();
+  while (i > 0) {
+    --i;
+    locator.push_back(chain[i]);
+    if (locator.size() > 10) step *= 2;
+    if (i < step) break;
+    i -= step - 1;
+  }
+  if (locator.empty() || locator.back() != chain.front()) locator.push_back(chain.front());
+  return locator;
+}
+
+TEST_F(HeaderTreeTest, MaterializedChainMatchesWalkFromBestTip) {
+  now_ += 10'000'000;  // room for every header's timestamp
+  util::Rng rng(23);
+  std::vector<Hash256> known = {tree_.root_hash()};
+  std::vector<Hash256> pruned;
+  std::uint32_t salt = 1;
+  auto check = [&](int step) {
+    std::vector<Hash256> walk;
+    for (Hash256 h = tree_.best_tip();; h = tree_.find(h)->parent) {
+      walk.push_back(h);
+      if (h == tree_.root_hash()) break;
+    }
+    std::reverse(walk.begin(), walk.end());
+    ASSERT_EQ(tree_.current_chain(), walk) << "step " << step;
+    std::unordered_set<Hash256> on_walk(walk.begin(), walk.end());
+    for (const auto& h : known) {
+      ASSERT_EQ(tree_.on_current_chain(h), on_walk.contains(h)) << "step " << step;
+    }
+    for (const auto& h : pruned) ASSERT_FALSE(tree_.on_current_chain(h)) << "step " << step;
+    ASSERT_EQ(tree_.locator(), reference_locator(walk)) << "step " << step;
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    std::uint64_t dice = rng.next() % 10;
+    if (dice < 5) {
+      known.push_back(extend(tree_.best_tip(), salt++));
+    } else if (dice < 8) {
+      // Race 1-4 blocks from any known block: the branch falls short, ties
+      // or overtakes the best chain.
+      Hash256 parent = known[rng.next() % known.size()];
+      int length = 1 + static_cast<int>(rng.next() % 4);
+      for (int i = 0; i < length; ++i) {
+        parent = extend(parent, salt++);
+        known.push_back(parent);
+      }
+    } else if (dice < 9) {
+      // An equal-work sibling of the best tip: first seen keeps the tie.
+      Hash256 best = tree_.best_tip();
+      if (best != tree_.root_hash()) {
+        known.push_back(extend(tree_.find(best)->parent, salt++));
+        ASSERT_EQ(tree_.best_tip(), best) << "step " << step;
+      }
+    } else {
+      // Reroot onto any child of the root, often off the best chain.
+      std::vector<Hash256> children = tree_.root().children;
+      if (!children.empty()) {
+        tree_.reroot(children[rng.next() % children.size()]);
+        for (const auto& h : known) {
+          if (!tree_.contains(h)) pruned.push_back(h);
+        }
+        std::erase_if(known, [&](const Hash256& h) { return !tree_.contains(h); });
+      }
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tree_.current_chain().size(), 20u);  // the locator's doubling steps ran
 }
 
 TEST_F(HeaderTreeTest, ExpectedBitsStableWithoutRetargeting) {
