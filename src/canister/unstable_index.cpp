@@ -89,16 +89,6 @@ void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& b
   update_gauges();
 }
 
-void UnstableIndex::remove_block(const util::Hash256& hash) {
-  auto it = deltas_.find(hash);
-  if (it == deltas_.end()) return;
-  unsync(it->second.get());
-  resident_bytes_ -= it->second->resident_bytes;
-  deltas_.erase(it);
-  ++generation_;
-  update_gauges();
-}
-
 void UnstableIndex::unsync(const BlockDelta* delta) {
   auto it = std::find(synced_.begin(), synced_.end(), delta);
   if (it == synced_.end()) return;

@@ -99,8 +99,6 @@ class UnstableIndex {
   void add_block(const util::Hash256& hash, const bitcoin::Block& block, int height,
                  parallel::ThreadPool* pool);
 
-  void remove_block(const util::Hash256& hash);
-
   /// Drops every delta for which keep(hash) is false (anchor advance /
   /// reorg pruning).
   template <typename Keep>
@@ -173,7 +171,7 @@ class UnstableIndex {
 
   /// Sync state: the deltas of the synced chain above its root in chain
   /// order, and every outpoint they spend with the spending block's height.
-  /// Holds only live deltas: removing a delta unsyncs it.
+  /// Holds only live deltas: pruning a delta unsyncs it.
   std::vector<const BlockDelta*> synced_;
   std::unordered_multimap<bitcoin::OutPoint, int> spent_;
   util::Hash256 synced_tip_;

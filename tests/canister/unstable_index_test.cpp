@@ -96,7 +96,7 @@ TEST(UnstableIndexTest, DeltaRecordsAddsAndSpends) {
     for (const auto& u : utxos) EXPECT_EQ(u.height, 7);
   }
   EXPECT_GT(index.resident_bytes(), 0u);
-  index.remove_block(block.hash());
+  index.prune([](const auto&) { return false; });
   EXPECT_EQ(index.delta(block.hash()), nullptr);
   EXPECT_EQ(index.resident_bytes(), 0u);
 }
@@ -125,7 +125,7 @@ TEST(UnstableIndexTest, DeltaConstructionIsPoolInvariant) {
   EXPECT_EQ(a->resident_bytes, b->resident_bytes);
 }
 
-TEST(UnstableIndexTest, RemovingSyncedDeltaDropsItsSpends) {
+TEST(UnstableIndexTest, PruningSyncedDeltaDropsItsSpends) {
   Block block = delta_test_block(3, 23);
   UnstableIndex index;
   index.add_block(block.hash(), block, 1, nullptr);
@@ -135,7 +135,7 @@ TEST(UnstableIndexTest, RemovingSyncedDeltaDropsItsSpends) {
   const bitcoin::OutPoint spent = block.transactions[1].inputs[0].prevout;
   EXPECT_TRUE(index.spent(spent, 1));
   EXPECT_FALSE(index.spent(spent, 0));  // spent above the considered height
-  index.remove_block(block.hash());
+  index.prune([](const auto&) { return false; });
   EXPECT_FALSE(index.spent(spent, 1));
 }
 
