@@ -1,6 +1,6 @@
 #include "bitcoin/transaction.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -180,12 +180,16 @@ bool Transaction::is_well_formed() const {
     total += out.value;
     if (!money_range(total)) return false;
   }
-  std::unordered_set<OutPoint> seen;
+  bool coinbase = is_coinbase();
+  std::vector<OutPoint> prevouts;
+  prevouts.reserve(inputs.size());
   for (const auto& in : inputs) {
-    if (!is_coinbase() && in.prevout.is_null()) return false;
-    if (!seen.insert(in.prevout).second) return false;
+    if (!coinbase && in.prevout.is_null()) return false;
+    prevouts.push_back(in.prevout);
   }
-  return true;
+  // Duplicate inputs end up adjacent once sorted.
+  std::sort(prevouts.begin(), prevouts.end());
+  return std::adjacent_find(prevouts.begin(), prevouts.end()) == prevouts.end();
 }
 
 }  // namespace icbtc::bitcoin

@@ -202,9 +202,7 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     unstable_blocks_.emplace(header.hash(), block);
     const chain::HeaderTree::Entry* entry = tree_.find(header.hash());
     max_available_height_ = std::max(max_available_height_, entry->height);
-    if (indexed_queries()) {
-      unstable_index_.add_block(header.hash(), block, entry->height, pool.get());
-    }
+    unstable_index_.add_block(header.hash(), block, entry->height, pool.get());
     ++result.blocks_stored;
     result.anchors_advanced += advance_anchor();
   }
@@ -245,17 +243,16 @@ std::size_t BitcoinCanister::advance_anchor() {
     if (!found) break;
     if (!tree_.is_difficulty_stable(best, config_.stability_delta, anchor_work)) break;
 
-    // process_block(U, b_next): migrate the block into the stable UTXO set,
-    // shard-parallel when the shared pool is installed. The owning pool
-    // reference is held across the fan-out so a concurrent set_shared_pool()
-    // cannot tear the pool down mid-application (see thread_pool.h).
-    auto block_it = unstable_blocks_.find(best);
-    const Block& block = block_it->second;
+    // process_block(U, b_next): migrate the block into the stable UTXO set
+    // from the delta built at its arrival, shard-parallel when the shared
+    // pool is installed. The owning pool reference is held across the
+    // fan-out so a concurrent set_shared_pool() cannot tear the pool down
+    // mid-application (see thread_pool.h).
     IngestStats stats;
     stats.height = next_height;
     obs::ScopedSpan ingest_span(tracer_, "canister.ingest_block", "canister");
     std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-    BlockApplyStats applied = stable_utxos_.apply_block(block, next_height, meter_, pool.get());
+    BlockApplyStats applied = stable_utxos_.apply(*unstable_index_.delta(best), meter_, pool.get());
     stats.transactions = applied.transactions;
     stats.inputs_removed = applied.inputs_removed;
     stats.outputs_inserted = applied.outputs_inserted;
@@ -285,8 +282,9 @@ std::size_t BitcoinCanister::advance_anchor() {
     // The stable block header is archived (headers are kept forever); the
     // block itself is discarded and competing branches are pruned
     // (remove_blocks(T, B_next) — all but the stable header are removed).
+    // Only now may the block's delta go: the apply above read from it.
     stable_headers_.push_back(tree_.root().header);
-    unstable_blocks_.erase(block_it);
+    unstable_blocks_.erase(best);
     tree_.reroot(best);
     // Drop any unstable blocks whose headers were pruned with their forks.
     std::erase_if(unstable_blocks_,
@@ -359,8 +357,9 @@ struct BitcoinCanister::UnstableView {
 
 BitcoinCanister::UnstableView BitcoinCanister::unstable_view(const util::Bytes& script,
                                                              int considered_height) {
-  return indexed_queries() ? unstable_view_indexed(script, considered_height)
-                           : unstable_view_scan(script, considered_height);
+  return config_.unstable_query_mode == UnstableQueryMode::kIndexed
+             ? unstable_view_indexed(script, considered_height)
+             : unstable_view_scan(script, considered_height);
 }
 
 BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::Bytes& script,
@@ -711,11 +710,9 @@ BitcoinCanister BitcoinCanister::from_snapshot(const bitcoin::ChainParams& param
     bitcoin::Block block = bitcoin::Block::parse(r.var_bytes());
     util::Hash256 hash = block.hash();
     if (!canister.tree_.contains(hash)) throw util::DecodeError("snapshot: stray block");
-    if (canister.indexed_queries()) {
-      std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-      canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
-                                         pool.get());
-    }
+    std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
+    canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
+                                       pool.get());
     canister.unstable_blocks_.emplace(hash, std::move(block));
   }
   canister.recompute_max_available_height();
@@ -882,11 +879,9 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
         bitcoin::Block block = bitcoin::Block::parse(r.var_bytes());
         Hash256 hash = block.hash();
         if (!canister.tree_.contains(hash)) throw util::DecodeError("stray block");
-        if (canister.indexed_queries()) {
-          std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-          canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
-                                             pool.get());
-        }
+        std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
+        canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
+                                           pool.get());
         canister.unstable_blocks_.emplace(hash, std::move(block));
       }
       if (!r.done()) throw util::DecodeError("blocks trailing bytes");

@@ -47,7 +47,7 @@ struct CanisterConfig {
   /// Blocks scanned by get_current_fee_percentiles.
   int fee_window_blocks = 6;
   /// Unstable read path; kScan is kept as the differential-test oracle and
-  /// the bench baseline.
+  /// the bench baseline. Either way every stored block gets its delta.
   UnstableQueryMode unstable_query_mode = UnstableQueryMode::kIndexed;
   /// Stable UTXO set shards (>= 1); block ingestion applies them in parallel
   /// when the shared thread pool is installed. Responses, metering, and
@@ -259,7 +259,8 @@ class BitcoinCanister {
   void set_slo(obs::SloTracker* slo);
   obs::SloTracker* slo() const { return slo_tracker_; }
 
-  /// The unstable-block delta index (empty in kScan mode).
+  /// The unstable-block delta index: one delta per stored unstable block,
+  /// in either query mode (anchor advance applies the deltas).
   const UnstableIndex& unstable_index() const { return unstable_index_; }
 
   /// Installs a host wall-clock (µs) feeding the `canister.delta.build_us`
@@ -328,9 +329,6 @@ class BitcoinCanister {
   /// is synced incrementally — O(relevant).
   UnstableView unstable_view_indexed(const util::Bytes& script, int considered_height);
 
-  bool indexed_queries() const {
-    return config_.unstable_query_mode == UnstableQueryMode::kIndexed;
-  }
   /// Recomputes the incrementally tracked max available-block height after
   /// anchor advances or fork pruning shrink the unstable set.
   void recompute_max_available_height();

@@ -5,78 +5,20 @@
 
 namespace icbtc::canister {
 
-namespace {
-
-/// Heap-block model shared with the persist layer's map accounting: an
-/// allocator header plus the payload rounded to 16.
-std::uint64_t heap_block(std::size_t payload) {
-  return 16 + ((payload + 15) / 16) * 16;
-}
-
-}  // namespace
-
-std::uint64_t delta_resident_bytes(const BlockDelta& d) {
-  // Capacity-accurate accounting from the actual container shapes: the
-  // script map's bucket array, one heap node per script (payload + next
-  // pointer), script byte buffers, and UTXO and spend vectors at capacity.
-  // Deterministic for a fixed build history (bucket growth and vector growth
-  // are deterministic).
-  std::uint64_t bytes = sizeof(BlockDelta);
-  bytes += d.added.bucket_count() * sizeof(void*);
-  for (const auto& [script, utxos] : d.added) {
-    bytes += heap_block(sizeof(util::Bytes) + sizeof(std::vector<StoredUtxo>) + sizeof(void*));
-    bytes += heap_block(script.capacity());
-    bytes += heap_block(utxos.capacity() * sizeof(StoredUtxo));
-  }
-  bytes += heap_block(d.spent.capacity() * sizeof(bitcoin::OutPoint));
-  return bytes;
-}
-
 void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& block,
                               int height, parallel::ThreadPool* pool) {
   if (deltas_.contains(hash)) return;
   std::uint64_t t0 = build_clock_ ? build_clock_() : 0;
   obs::ScopedSpan span(tracer_, "canister.delta.build", "canister");
 
-  // Warm the memoized txid caches in parallel — sha256d over the wire bytes
-  // is the expensive part of delta construction — unless they are all warm
-  // already. The merge below is serial in transaction order, so the delta
-  // content is pool-invariant.
-  const auto& txs = block.transactions;
-  if (!block.txids_cached()) {
-    parallel::parallel_for(pool, txs.size(), [&](std::size_t i) { (void)txs[i].txid(); });
-  }
-
-  auto delta = std::make_unique<BlockDelta>();
-  delta->height = height;
-  delta->transactions = txs.size();
-  std::size_t spends = 0;
-  for (const auto& tx : txs) {
-    if (!tx.is_coinbase()) spends += tx.inputs.size();
-  }
-  delta->spent.reserve(spends);
-  for (const auto& tx : txs) {
-    if (!tx.is_coinbase()) {
-      for (const auto& in : tx.inputs) delta->spent.push_back(in.prevout);
-    }
-    util::Hash256 txid = tx.txid();
-    for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
-      const auto& out = tx.outputs[v];
-      auto [it, inserted] = delta->added.try_emplace(out.script_pubkey);
-      if (inserted) delta->filter.add(ScriptHash{}(out.script_pubkey));
-      it->second.push_back(StoredUtxo{bitcoin::OutPoint{txid, v}, out.value, height});
-      ++delta->added_outputs;
-    }
-  }
-  delta->resident_bytes = delta_resident_bytes(*delta);
+  auto delta = std::make_unique<BlockDelta>(build_block_delta(block, height, pool));
   resident_bytes_ += delta->resident_bytes;
 
   if (span.active()) {
     span.attr("height", static_cast<std::int64_t>(height));
-    span.attr("txs", static_cast<std::uint64_t>(delta->transactions));
-    span.attr("outputs", static_cast<std::uint64_t>(delta->added_outputs));
+    span.attr("txs", static_cast<std::uint64_t>(delta->transactions()));
+    span.attr("outputs", static_cast<std::uint64_t>(delta->outputs.size()));
     span.attr("spends", static_cast<std::uint64_t>(delta->spent.size()));
-    span.attr("scripts", static_cast<std::uint64_t>(delta->added.size()));
   }
   deltas_.emplace(hash, std::move(delta));
   ++generation_;
@@ -142,11 +84,13 @@ UnstableIndex::View UnstableIndex::view(const std::vector<util::Hash256>& chain,
     if (d->height > height) break;
     ++v.visited_blocks;
     if (!d->filter.may_contain(script_hash)) continue;
-    auto it = d->added.find(script);
-    if (it == d->added.end()) continue;
-    v.matched_outputs += it->second.size();
-    for (const auto& u : it->second) {
-      if (!spent(u.outpoint, height)) v.survivors.push_back(u);
+    for (const BlockDelta::ScriptRef& ref : d->with_hash(script_hash)) {
+      if (!util::equal(d->script(ref.output), script)) continue;
+      ++v.matched_outputs;
+      const BlockDelta::Output& out = d->outputs[ref.output];
+      if (!spent(out.outpoint, height)) {
+        v.survivors.push_back(StoredUtxo{out.outpoint, out.value, d->height});
+      }
     }
   }
   // Newest first, exactly the scan path's order (heights are unique per

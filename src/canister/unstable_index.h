@@ -5,12 +5,14 @@
 // transaction of every unstable block on every request — O(unstable chain)
 // per call, hundreds of thousands of tx visits at mainnet shape (δ=144
 // blocks above the anchor). This index makes the read path O(relevant): when
-// a block enters the unstable set its per-block delta is computed exactly
-// once — `scriptPubKey → outputs added` plus the outpoints the block spends
-// and a bloom-style "may touch script" summary for cheap negative lookups.
-// A read syncs the index to the current chain: it caches the chain's deltas
-// above the anchor and keeps an `outpoint → spending heights` index over
-// them, both updated only for the blocks that changed since the last read.
+// a block enters the unstable set its BlockDelta (canister/block_delta.h) is
+// built exactly once — its outputs with a sorted script lookup, the outpoints
+// it spends, and a bloom-style "may touch script" summary for cheap negative
+// lookups. The stable store applies the same delta once the block is
+// δ-stable. A read syncs the index to the current chain: it caches the
+// chain's deltas above the anchor and keeps an `outpoint → spending heights`
+// index over them, both updated only for the blocks that changed since the
+// last read.
 //
 // Metering contract: the index changes HOST wall-clock only. The instruction
 // meter models the IC canister's measured request costs (Fig. 7), so the
@@ -19,68 +21,19 @@
 // matching output — View reports both counts and the canister charges them.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "bitcoin/block.h"
+#include "canister/block_delta.h"
 #include "canister/utxo_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 
 namespace icbtc::canister {
-
-/// 512-bit bloom-style summary of the scripts a block pays. Two probes per
-/// script keep the false-positive rate low for realistic per-block script
-/// counts; a negative answer proves the block added nothing for the script,
-/// skipping the hash-map lookup entirely.
-class ScriptFilter {
- public:
-  void add(std::size_t script_hash) {
-    for (auto [word, bit] : probes(script_hash)) words_[word] |= bit;
-  }
-  bool may_contain(std::size_t script_hash) const {
-    for (auto [word, bit] : probes(script_hash)) {
-      if ((words_[word] & bit) == 0) return false;
-    }
-    return true;
-  }
-
- private:
-  static std::array<std::pair<std::size_t, std::uint64_t>, 2> probes(std::size_t h) {
-    // Derive two independent probes from the 64-bit script hash: low bits
-    // and a mixed rotation. 512 bits total.
-    std::uint64_t h2 = (h >> 17 | h << 47) * 0x9e3779b97f4a7c15ULL;
-    return {{{(h >> 6) & 7, 1ULL << (h & 63)}, {(h2 >> 6) & 7, 1ULL << (h2 & 63)}}};
-  }
-
-  std::array<std::uint64_t, 8> words_{};
-};
-
-/// Everything a query needs to know about one unstable block, computed once
-/// at block arrival: outputs grouped by scriptPubKey (in transaction order,
-/// OP_RETURN outputs included — the scan path visits and meters them too)
-/// and the outpoints the block's inputs spend (in transaction order).
-struct BlockDelta {
-  int height = 0;
-  std::size_t transactions = 0;
-  std::size_t added_outputs = 0;
-  ScriptFilter filter;
-  std::unordered_map<util::Bytes, std::vector<StoredUtxo>, ScriptHash> added;
-  std::vector<bitcoin::OutPoint> spent;
-  /// Exact host-side footprint of this delta at build time (computed by
-  /// delta_resident_bytes; deterministic).
-  std::uint64_t resident_bytes = 0;
-};
-
-/// Capacity-accurate host bytes held by a delta, derived from the actual
-/// container shapes (bucket arrays, per-node heap blocks, vector and byte
-/// buffer capacities). Feeds `canister.delta.resident_bytes`; pinned by
-/// tests so the gauge can't silently regress to an estimate.
-std::uint64_t delta_resident_bytes(const BlockDelta& delta);
 
 class UnstableIndex {
  public:
@@ -92,10 +45,8 @@ class UnstableIndex {
     std::size_t matched_outputs = 0;    // charged unstable_utxo_read each
   };
 
-  /// Builds and stores the delta for `hash`. Txid hashing — the expensive
-  /// part — runs on `pool` when one is installed; the merge is serial in
-  /// transaction order, so the delta is byte-identical with or without a
-  /// pool. Idempotent for a hash already present.
+  /// Builds and stores the delta for `hash` (build_block_delta; txids are
+  /// hashed on `pool`). Idempotent for a hash already present.
   void add_block(const util::Hash256& hash, const bitcoin::Block& block, int height,
                  parallel::ThreadPool* pool);
 

@@ -13,49 +13,48 @@ namespace {
 /// Modelled deterministic execution rate (2e9 instructions/s, the §IV-B
 /// convention shared with BitcoinCanister's endpoint spans).
 constexpr double kInstructionsPerUs = 2000.0;
-/// Pre-block spends resolved per pool task in apply_block.
+/// Pre-block spends resolved per pool task in apply.
 constexpr std::size_t kProbeChunk = 64;
-}  // namespace
 
-std::size_t ScriptHash::operator()(const util::Bytes& b) const noexcept {
-  // FNV-1a folded over 64-bit words with the length mixed into the seed, so
-  // prefixes of different lengths cannot collide trivially. The zero-padded
-  // tail load is safe because the length disambiguates it.
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t h = 14695981039346656037ULL ^ (static_cast<std::uint64_t>(b.size()) * kPrime);
-  const std::uint8_t* p = b.data();
-  std::size_t n = b.size();
-  while (n >= 8) {
+/// Open-addressing table over a delta's spendable outputs, keyed by
+/// outpoint: finds the output of the same block that a spend consumes. The
+/// first occurrence of an outpoint wins; OP_RETURN outputs are left out.
+class LocalOutputs {
+ public:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  explicit LocalOutputs(const BlockDelta& delta) : delta_(delta) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * delta.outputs.size()) capacity *= 2;
+    slots_.assign(capacity, kNone);
+    mask_ = capacity - 1;
+    for (std::uint32_t i = 0; i < delta.outputs.size(); ++i) {
+      if (bitcoin::is_op_return(delta.script(i))) continue;
+      std::uint32_t& slot = probe(delta.outputs[i].outpoint);
+      if (slot == kNone) slot = i;
+    }
+  }
+
+  std::uint32_t find(const bitcoin::OutPoint& outpoint) { return probe(outpoint); }
+
+ private:
+  /// The slot holding `outpoint`, or the empty slot where it would go.
+  std::uint32_t& probe(const bitcoin::OutPoint& outpoint) {
     std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    h = (h ^ word) * kPrime;
-    p += 8;
-    n -= 8;
+    std::memcpy(&word, outpoint.txid.data.data(), sizeof(word));
+    std::uint64_t h = (word ^ outpoint.vout) * 0x9e3779b97f4a7c15ULL;
+    for (std::size_t s = (h ^ h >> 32) & mask_;; s = (s + 1) & mask_) {
+      std::uint32_t& slot = slots_[s];
+      if (slot == kNone || delta_.outputs[slot].outpoint == outpoint) return slot;
+    }
   }
-  if (n > 0) {
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, p, n);
-    h = (h ^ tail) * kPrime;
-  }
-  // Finalizer: FNV's multiply mixes upward only; fold the high bits back so
-  // the table's low-bit bucket selection sees the whole word.
-  h ^= h >> 32;
-  return h;
-}
 
-std::uint64_t stable_script_shard_hash(util::ByteSpan script) noexcept {
-  // Canonical byte-at-a-time FNV-1a 64: every host folds the same byte
-  // sequence the same way, so shard assignment is identical across
-  // endianness, word size, and process restarts. Pinned by known-answer
-  // tests (utxo_shard_test); the in-memory ScriptHash above is free to
-  // change, this function is part of the (future) checkpoint format.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : script) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+  const BlockDelta& delta_;
+  std::vector<std::uint32_t> slots_;
+  std::size_t mask_ = 0;
+};
+
+}  // namespace
 
 std::uint64_t UtxoIndex::entry_footprint(std::size_t script_len) {
   // Payload (outpoint 36 + value 8 + height 4 + script) plus the stable
@@ -148,11 +147,10 @@ void UtxoIndex::update_size_gauges() {
 
 std::uint64_t UtxoIndex::apply_op(Shard& shard, const PendingOp& op, OpCounts& counts) const {
   if (op.kind == PendingOp::Kind::kInsert) {
-    const util::Bytes& script = op.output->script_pubkey;
-    if (!shard.store->insert(op.outpoint, op.output->value, op.height, script)) {
+    if (!shard.store->insert(op.outpoint, op.value, op.height, op.script)) {
       return costs_.output_insert;  // duplicate (pre-BIP30); keep first
     }
-    shard.memory_bytes += entry_footprint(script.size());
+    shard.memory_bytes += entry_footprint(op.script.size());
     ++counts.inserted;
     return costs_.output_insert;
   }
@@ -173,8 +171,8 @@ std::size_t UtxoIndex::shard_holding(const bitcoin::OutPoint& outpoint) const {
 void UtxoIndex::point_mutation(const PendingOp& op, ic::InstructionMeter& meter) {
   // An insert routes by script; a remove is outpoint-keyed, so it probes for
   // the shard of the entry's script.
-  std::size_t shard = op.kind == PendingOp::Kind::kInsert ? shard_of(op.output->script_pubkey)
-                                                          : shard_holding(op.outpoint);
+  std::size_t shard =
+      op.kind == PendingOp::Kind::kInsert ? shard_of(op.script) : shard_holding(op.outpoint);
   if (shard == kUnrouted) {
     meter.charge(costs_.input_remove);  // miss: charged, tolerated, no epoch
     return;
@@ -198,7 +196,8 @@ void UtxoIndex::insert(const bitcoin::OutPoint& outpoint, const bitcoin::TxOut& 
   PendingOp op;
   op.kind = PendingOp::Kind::kInsert;
   op.outpoint = outpoint;
-  op.output = &output;
+  op.value = output.value;
+  op.script = output.script_pubkey;
   op.height = height;
   point_mutation(op, meter);
 }
@@ -213,65 +212,33 @@ void UtxoIndex::remove(const bitcoin::OutPoint& outpoint, ic::InstructionMeter& 
 BlockApplyStats UtxoIndex::apply_block(const bitcoin::Block& block, int height,
                                        ic::InstructionMeter& meter,
                                        parallel::ThreadPool* pool) {
+  return apply(build_block_delta(block, height, pool), meter, pool);
+}
+
+BlockApplyStats UtxoIndex::apply(const BlockDelta& delta, ic::InstructionMeter& meter,
+                                 parallel::ThreadPool* pool) {
   const std::size_t n_shards = shards_.size();
+  const int height = delta.height;
   BlockApplyStats stats;
-  stats.transactions = block.transactions.size();
+  stats.transactions = delta.transactions();
+  stats.inputs_removed = delta.spent.size();
 
-  // Pass 1 — route. Every output of the block is mapped first so spends of
-  // any in-block output resolve to the output's shard regardless of tx order
-  // (a spend *preceding* its output stays a tolerated miss there, exactly as
-  // on the serial path, because shard order preserves block order). Inserts
-  // route directly by script; OP_RETURN outputs are charge-only and never
-  // become ops.
-  std::unordered_map<bitcoin::OutPoint, std::size_t> local_outputs;
-  std::size_t n_outputs = 0;
-  for (const auto& tx : block.transactions) n_outputs += tx.outputs.size();
-  local_outputs.reserve(n_outputs);
-  for (const auto& tx : block.transactions) {
-    util::Hash256 txid = tx.txid();
-    for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-      if (bitcoin::is_op_return(tx.outputs[i].script_pubkey)) continue;
-      local_outputs.emplace(bitcoin::OutPoint{txid, i}, shard_of(tx.outputs[i].script_pubkey));
-    }
-  }
-
-  struct SeqOp {
-    PendingOp op;
-    std::size_t shard = kUnrouted;
-  };
-  std::vector<SeqOp> seq;
-  std::vector<std::size_t> unresolved;  // indices into seq: removes of pre-block outputs
-  std::uint64_t per_tx_charges = 0;
-  std::uint64_t op_return_charges = 0;
-  for (const auto& tx : block.transactions) {
-    per_tx_charges += costs_.per_tx_overhead;
-    if (!tx.is_coinbase()) {
-      for (const auto& in : tx.inputs) {
-        ++stats.inputs_removed;
-        SeqOp sop;
-        sop.op.kind = PendingOp::Kind::kRemove;
-        sop.op.outpoint = in.prevout;
-        auto local = local_outputs.find(in.prevout);
-        if (local != local_outputs.end()) sop.shard = local->second;
-        if (sop.shard == kUnrouted) unresolved.push_back(seq.size());
-        seq.push_back(std::move(sop));
+  // Pass 1 — route spends of this block's own outputs to the output's shard,
+  // whatever their order in the block (a spend *preceding* its output stays
+  // a tolerated miss there, exactly as on the serial path, because shard
+  // order preserves block order). Inserts route by their stored shard hash
+  // in pass 3; OP_RETURN outputs are charge-only and never become ops.
+  std::vector<std::size_t> spend_shard(delta.spent.size(), kUnrouted);
+  std::vector<std::size_t> unresolved;  // spends of pre-block outputs
+  {
+    LocalOutputs local(delta);
+    for (std::size_t i = 0; i < delta.spent.size(); ++i) {
+      std::uint32_t out = local.find(delta.spent[i]);
+      if (out != LocalOutputs::kNone) {
+        spend_shard[i] = static_cast<std::size_t>(delta.outputs[out].shard_hash % n_shards);
+      } else {
+        unresolved.push_back(i);
       }
-    }
-    util::Hash256 txid = tx.txid();
-    for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-      const bitcoin::TxOut& out = tx.outputs[i];
-      if (bitcoin::is_op_return(out.script_pubkey)) {
-        op_return_charges += costs_.per_tx_overhead / 8;
-        continue;
-      }
-      ++stats.outputs_inserted;
-      SeqOp sop;
-      sop.op.kind = PendingOp::Kind::kInsert;
-      sop.op.outpoint = bitcoin::OutPoint{txid, i};
-      sop.op.output = &out;
-      sop.op.height = height;
-      sop.shard = shard_of(out.script_pubkey);
-      seq.push_back(std::move(sop));
     }
   }
 
@@ -285,16 +252,16 @@ BlockApplyStats UtxoIndex::apply_block(const bitcoin::Block& block, int height,
       pool, (unresolved.size() + kProbeChunk - 1) / kProbeChunk, [&](std::size_t c) {
         std::size_t end = std::min(unresolved.size(), (c + 1) * kProbeChunk);
         for (std::size_t i = c * kProbeChunk; i < end; ++i) {
-          SeqOp& sop = seq[unresolved[i]];
-          sop.shard = shard_holding(sop.op.outpoint);
+          spend_shard[unresolved[i]] = shard_holding(delta.spent[unresolved[i]]);
         }
       });
   std::uint64_t miss_charges = 0;
   for (std::size_t i : unresolved) {
-    if (seq[i].shard == kUnrouted) miss_charges += costs_.input_remove;
+    if (spend_shard[i] == kUnrouted) miss_charges += costs_.input_remove;
   }
 
-  // Pass 3 — distribute to per-shard op lists, preserving block order.
+  // Pass 3 — distribute to per-shard op lists in block order: each
+  // transaction's removes, then its inserts.
   struct ShardWork {
     std::vector<PendingOp> ops;
     std::uint64_t insert_charges = 0;
@@ -302,9 +269,34 @@ BlockApplyStats UtxoIndex::apply_block(const bitcoin::Block& block, int height,
     OpCounts counts;
   };
   std::vector<ShardWork> work(n_shards);
-  for (const auto& sop : seq) {
-    if (sop.shard == kUnrouted) continue;
-    work[sop.shard].ops.push_back(sop.op);
+  const std::uint64_t per_tx_charges = costs_.per_tx_overhead * delta.transactions();
+  std::uint64_t op_return_charges = 0;
+  std::size_t spend = 0;
+  std::size_t output = 0;
+  for (const BlockDelta::TxEnd& tx : delta.tx_ends) {
+    for (; spend < tx.spends; ++spend) {
+      if (spend_shard[spend] == kUnrouted) continue;
+      PendingOp op;
+      op.kind = PendingOp::Kind::kRemove;
+      op.outpoint = delta.spent[spend];
+      work[spend_shard[spend]].ops.push_back(op);
+    }
+    for (; output < tx.outputs; ++output) {
+      util::ByteSpan script = delta.script(output);
+      if (bitcoin::is_op_return(script)) {
+        op_return_charges += costs_.per_tx_overhead / 8;
+        continue;
+      }
+      ++stats.outputs_inserted;
+      const BlockDelta::Output& out = delta.outputs[output];
+      PendingOp op;
+      op.kind = PendingOp::Kind::kInsert;
+      op.outpoint = out.outpoint;
+      op.value = out.value;
+      op.script = script;
+      op.height = height;
+      work[static_cast<std::size_t>(out.shard_hash % n_shards)].ops.push_back(op);
+    }
   }
   std::vector<std::size_t> touched;
   for (std::size_t s = 0; s < n_shards; ++s) {

@@ -5,12 +5,13 @@
 //
 // The store is partitioned into N shards keyed by a serialization-stable
 // hash of the scriptPubKey bytes, so every mutation of a UTXO — its insert
-// and its eventual spend — lands on exactly one shard. apply_block
-// partitions a block's inserts/removes by shard (outpoint-keyed removes are
-// routed via a per-block script-resolution pass) and applies the shards in
-// parallel on src/parallel's pool; metering stays bit-exact with the serial
-// path because charges accumulate per shard and are summed into the meter in
-// deterministic shard order. Each shard is one store guarded by one mutex:
+// and its eventual spend — lands on exactly one shard. apply partitions a
+// block's delta (canister/block_delta.h) into per-shard inserts/removes
+// (outpoint-keyed removes route through the block's own outputs, or else by
+// probing the shards) and applies the shards in parallel on src/parallel's
+// pool; metering stays bit-exact with the serial path because charges
+// accumulate per shard and are summed into the meter in deterministic shard
+// order. Each shard is one store guarded by one mutex:
 // every write holds it, and with snapshot reads enabled every read walk holds
 // it too, so a concurrent reader sees a shard as of a block boundary — before
 // or after that shard's part of a block, never in the middle of it.
@@ -26,6 +27,7 @@
 
 #include "bitcoin/block.h"
 #include "bitcoin/transaction.h"
+#include "canister/block_delta.h"
 #include "ic/metering.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,23 +63,6 @@ struct StoredUtxo {
 
   bool operator==(const StoredUtxo&) const = default;
 };
-
-/// Hash functor for scriptPubKey byte strings, shared by the stable store's
-/// script index and the unstable delta index. Folds eight bytes per step
-/// (FNV-style multiply over 64-bit words) instead of the byte-at-a-time loop
-/// it replaces — same interface, same lookup behavior, ~8x fewer multiplies
-/// on the `by_script_` hot path. Process-local only: values depend on host
-/// endianness and must never be serialized — which is also why it must NOT
-/// pick shards (see stable_script_shard_hash).
-struct ScriptHash {
-  std::size_t operator()(const util::Bytes& b) const noexcept;
-};
-
-/// Serialization-stable reduction of script bytes used for shard selection:
-/// byte-at-a-time FNV-1a 64, independent of host endianness and word size,
-/// so shard assignment survives checkpoint/restart across machines. Pinned
-/// by known-answer tests; never change without a migration plan.
-std::uint64_t stable_script_shard_hash(util::ByteSpan script) noexcept;
 
 /// Per-block apply statistics (drives IngestStats and the Fig. 6 benches).
 struct BlockApplyStats {
@@ -143,11 +128,17 @@ class UtxoIndex {
   /// single-writer contract as insert().
   void remove(const bitcoin::OutPoint& outpoint, ic::InstructionMeter& meter);
 
-  /// Applies every transaction of a block (inputs removed, outputs added).
-  /// With `pool` non-null the per-shard mutations run shard-parallel; the
-  /// meter total, metrics, digest, and final state are bit-identical for
-  /// every shard count and pool configuration. Each shard's ops are applied
-  /// under that shard's mutex, one shard per task; no task ever holds two.
+  /// Applies every transaction of a block's delta (inputs removed, outputs
+  /// added) at the delta's height. With `pool` non-null the per-shard
+  /// mutations run shard-parallel; the meter total, metrics, digest, and
+  /// final state are bit-identical for every shard count and pool
+  /// configuration. Each shard's ops are applied under that shard's mutex,
+  /// one shard per task; no task ever holds two. Nothing refers to the delta
+  /// after the call returns.
+  BlockApplyStats apply(const BlockDelta& delta, ic::InstructionMeter& meter,
+                        parallel::ThreadPool* pool = nullptr);
+
+  /// apply(build_block_delta(block, height, pool), meter, pool).
   BlockApplyStats apply_block(const bitcoin::Block& block, int height,
                               ic::InstructionMeter& meter,
                               parallel::ThreadPool* pool = nullptr);
@@ -278,13 +269,15 @@ class UtxoIndex {
   };
 
   /// A block mutation routed to one shard, kept in block-sequence order. An
-  /// insert borrows the block's output: no op outlives the call that made it.
+  /// insert borrows its script from the caller (the delta's arena or a point
+  /// insert's output): no op outlives the call that made it.
   struct PendingOp {
     enum class Kind : std::uint8_t { kInsert, kRemove };
     Kind kind = Kind::kInsert;
     bitcoin::OutPoint outpoint;
-    const bitcoin::TxOut* output = nullptr;  // insert only
-    int height = 0;                          // insert only
+    bitcoin::Amount value = 0;  // insert only
+    util::ByteSpan script;      // insert only
+    int height = 0;             // insert only
   };
 
   /// RAII read access to one shard for the length of a walk: holds the

@@ -176,6 +176,27 @@ TEST(TransactionTest, WellFormedRejectsDuplicateInputs) {
   EXPECT_FALSE(tx.is_well_formed());
 }
 
+TEST(TransactionTest, WellFormedFindsDuplicatesFarApartAndKeepsDistinctVouts) {
+  // The same prevout at the first and the last of 2,000 inputs.
+  Transaction tx = sample_tx();
+  for (std::uint32_t i = 1; i < 2000; ++i) {
+    TxIn in = tx.inputs[0];
+    in.prevout.txid.data[1] = static_cast<std::uint8_t>(i);
+    in.prevout.txid.data[2] = static_cast<std::uint8_t>(i >> 8);
+    tx.inputs.push_back(in);
+  }
+  ASSERT_TRUE(tx.is_well_formed());
+  tx.inputs.back().prevout = tx.inputs.front().prevout;
+  EXPECT_FALSE(tx.is_well_formed());
+
+  // One txid, two vouts: two distinct outpoints.
+  Transaction pair = sample_tx();
+  TxIn other = pair.inputs[0];
+  other.prevout.vout += 1;
+  pair.inputs.push_back(other);
+  EXPECT_TRUE(pair.is_well_formed());
+}
+
 TEST(TransactionTest, WellFormedRejectsNullPrevoutInNonCoinbase) {
   Transaction tx = sample_tx();
   TxIn null_in;

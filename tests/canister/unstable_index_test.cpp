@@ -85,15 +85,33 @@ TEST(UnstableIndexTest, DeltaRecordsAddsAndSpends) {
   const BlockDelta* delta = index.delta(block.hash());
   ASSERT_NE(delta, nullptr);
   EXPECT_EQ(delta->height, 7);
-  EXPECT_EQ(delta->transactions, block.transactions.size());
+  EXPECT_EQ(delta->transactions(), block.transactions.size());
   // Coinbase inputs are not spends; every other input is.
   EXPECT_EQ(delta->spent.size(), 20u);
-  std::size_t outputs = 0;
-  for (const auto& tx : block.transactions) outputs += tx.outputs.size();
-  EXPECT_EQ(delta->added_outputs, outputs);  // OP_RETURN included (metering parity)
-  for (const auto& [script, utxos] : delta->added) {
-    EXPECT_TRUE(delta->filter.may_contain(ScriptHash{}(script)));
-    for (const auto& u : utxos) EXPECT_EQ(u.height, 7);
+  // Every output in block order, OP_RETURN included (metering parity), with
+  // its script, shard hash and transaction boundary.
+  std::size_t i = 0;
+  for (std::size_t t = 0; t < block.transactions.size(); ++t) {
+    const auto& tx = block.transactions[t];
+    for (std::uint32_t v = 0; v < tx.outputs.size(); ++v, ++i) {
+      ASSERT_LT(i, delta->outputs.size());
+      const BlockDelta::Output& out = delta->outputs[i];
+      EXPECT_EQ(out.outpoint, (bitcoin::OutPoint{tx.txid(), v}));
+      EXPECT_EQ(out.value, tx.outputs[v].value);
+      EXPECT_TRUE(util::equal(delta->script(i), tx.outputs[v].script_pubkey));
+      EXPECT_EQ(out.shard_hash, stable_script_shard_hash(tx.outputs[v].script_pubkey));
+    }
+    EXPECT_EQ(delta->tx_ends[t].outputs, i);
+  }
+  EXPECT_EQ(delta->outputs.size(), i);
+  // The script lookup finds each output under its script's hash.
+  ASSERT_EQ(delta->by_script.size(), delta->outputs.size());
+  for (std::uint32_t o = 0; o < delta->outputs.size(); ++o) {
+    std::size_t h = ScriptHash{}(delta->script(o));
+    EXPECT_TRUE(delta->filter.may_contain(h));
+    auto refs = delta->with_hash(h);
+    EXPECT_TRUE(
+        std::any_of(refs.begin(), refs.end(), [&](const auto& ref) { return ref.output == o; }));
   }
   EXPECT_GT(index.resident_bytes(), 0u);
   index.prune([](const auto&) { return false; });
@@ -106,21 +124,35 @@ TEST(UnstableIndexTest, DeltaConstructionIsPoolInvariant) {
   UnstableIndex serial;
   serial.add_block(block.hash(), block, 3, nullptr);
 
+  // A fresh copy of the block, so the pooled build hashes its txids itself.
+  Block fresh = delta_test_block(40, 22);
+  ASSERT_FALSE(fresh.txids_cached());
   parallel::ThreadPool pool(3);
   UnstableIndex pooled;
-  pooled.add_block(block.hash(), block, 3, &pool);
+  pooled.add_block(fresh.hash(), fresh, 3, &pool);
 
   const BlockDelta* a = serial.delta(block.hash());
   const BlockDelta* b = pooled.delta(block.hash());
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->spent, b->spent);
-  EXPECT_EQ(a->added_outputs, b->added_outputs);
-  ASSERT_EQ(a->added.size(), b->added.size());
-  for (const auto& [script, utxos] : a->added) {
-    auto it = b->added.find(script);
-    ASSERT_NE(it, b->added.end());
-    EXPECT_EQ(utxos, it->second);  // vectors in tx order: byte-identical
+  EXPECT_EQ(a->scripts, b->scripts);
+  ASSERT_EQ(a->outputs.size(), b->outputs.size());
+  for (std::size_t i = 0; i < a->outputs.size(); ++i) {
+    EXPECT_EQ(a->outputs[i].outpoint, b->outputs[i].outpoint);
+    EXPECT_EQ(a->outputs[i].script_offset, b->outputs[i].script_offset);
+    EXPECT_EQ(a->outputs[i].value, b->outputs[i].value);
+    EXPECT_EQ(a->outputs[i].shard_hash, b->outputs[i].shard_hash);
+  }
+  ASSERT_EQ(a->by_script.size(), b->by_script.size());
+  for (std::size_t i = 0; i < a->by_script.size(); ++i) {
+    EXPECT_EQ(a->by_script[i].hash, b->by_script[i].hash);
+    EXPECT_EQ(a->by_script[i].output, b->by_script[i].output);
+  }
+  ASSERT_EQ(a->tx_ends.size(), b->tx_ends.size());
+  for (std::size_t t = 0; t < a->tx_ends.size(); ++t) {
+    EXPECT_EQ(a->tx_ends[t].spends, b->tx_ends[t].spends);
+    EXPECT_EQ(a->tx_ends[t].outputs, b->tx_ends[t].outputs);
   }
   EXPECT_EQ(a->resident_bytes, b->resident_bytes);
 }

@@ -219,6 +219,103 @@ TEST(UtxoShardInvarianceTest, MetricsSnapshotsMatchModuloShardGauges) {
   EXPECT_EQ(one->gauge("utxo.shard.max_utxos").value(), one->gauge("utxo.size").value());
 }
 
+/// Blocks that stress routing inside one block, appended to the chain of
+/// `blocks`: a spend that precedes its output, a spend of a same-block
+/// OP_RETURN output, outpoints (older and same-block) spent twice, and a
+/// transaction repeated within the block. A last block spends survivors.
+void append_adversarial_blocks(std::vector<Block>& blocks) {
+  auto tx_of = [](std::vector<bitcoin::OutPoint> prevouts, std::vector<bitcoin::TxOut> outputs) {
+    bitcoin::Transaction tx;
+    for (const auto& prevout : prevouts) tx.inputs.push_back(bitcoin::TxIn{prevout, {}, 0});
+    tx.outputs = std::move(outputs);
+    return tx;
+  };
+  auto coinbase = [](std::uint8_t tag, std::vector<bitcoin::TxOut> outputs) {
+    bitcoin::Transaction tx;
+    tx.inputs.push_back(bitcoin::TxIn{bitcoin::OutPoint::null(), {0xad, tag}, 0xffffffff});
+    tx.outputs = std::move(outputs);
+    return tx;
+  };
+  auto pay = [](std::uint8_t tag) { return bitcoin::TxOut{1000 + tag, script(tag)}; };
+
+  Block funding;
+  funding.transactions.push_back(coinbase(1, {pay(1), pay(2), pay(3), pay(4)}));
+  Hash256 funds = funding.transactions[0].txid();
+  blocks.push_back(funding);
+
+  bitcoin::Transaction later = tx_of({{funds, 0}}, {pay(5), pay(6)});
+  Hash256 later_id = later.txid();
+  bitcoin::Transaction op_return =
+      tx_of({{funds, 1}}, {bitcoin::TxOut{0, bitcoin::op_return_script(util::Bytes{0x42})},
+                           pay(8)});
+  Hash256 op_return_id = op_return.txid();
+  Block adversarial;
+  adversarial.transactions.push_back(coinbase(2, {pay(14)}));
+  adversarial.transactions.push_back(tx_of({{later_id, 0}}, {pay(7)}));  // before its output
+  adversarial.transactions.push_back(later);
+  adversarial.transactions.push_back(op_return);
+  adversarial.transactions.push_back(tx_of({{op_return_id, 0}, {op_return_id, 1}}, {pay(9)}));
+  adversarial.transactions.push_back(tx_of({{funds, 2}}, {pay(10)}));
+  adversarial.transactions.push_back(tx_of({{funds, 2}}, {pay(11)}));  // older, spent twice
+  adversarial.transactions.push_back(tx_of({{later_id, 1}}, {pay(12)}));
+  adversarial.transactions.push_back(tx_of({{later_id, 1}}, {pay(13)}));  // same-block, twice
+  adversarial.transactions.push_back(later);  // repeated transaction
+  blocks.push_back(adversarial);
+
+  Block spender;
+  spender.transactions.push_back(coinbase(3, {pay(15)}));
+  spender.transactions.push_back(
+      tx_of({{later_id, 0}, {adversarial.transactions[1].txid(), 0}, {op_return_id, 1},
+             {adversarial.transactions[4].txid(), 0}, {funds, 3}},
+            {pay(16)}));
+  blocks.push_back(spender);
+}
+
+TEST(UtxoShardInvarianceTest, ApplyMatchesPointMutationReplay) {
+  // The oracle applies each block as the point mutations it stands for, in
+  // block order: every non-coinbase input removed, then every output
+  // inserted, transaction by transaction, plus the per-transaction charge.
+  // apply_block must land on the same set and charge the same instructions
+  // at every shard count, with and without a pool — in-block spends
+  // included, which every shard count would otherwise get wrong alike.
+  std::vector<Block> blocks = shard_workload(721, 24);
+  append_adversarial_blocks(blocks);
+  parallel::ThreadPool pool(3);
+  for (std::size_t shards : {1u, 3u, 8u, 16u}) {
+    for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+      UtxoIndex oracle(InstructionCosts{}, UtxoIndex::ShardConfig{1, false});
+      UtxoIndex index(InstructionCosts{}, UtxoIndex::ShardConfig{shards, true});
+      ic::InstructionMeter oracle_meter;
+      ic::InstructionMeter meter;
+      for (std::size_t h = 0; h < blocks.size(); ++h) {
+        int height = static_cast<int>(h + 1);
+        for (const auto& tx : blocks[h].transactions) {
+          oracle_meter.charge(oracle.costs().per_tx_overhead);
+          if (!tx.is_coinbase()) {
+            for (const auto& in : tx.inputs) oracle.remove(in.prevout, oracle_meter);
+          }
+          Hash256 txid = tx.txid();
+          for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
+            oracle.insert(bitcoin::OutPoint{txid, v}, tx.outputs[v], height, oracle_meter);
+          }
+        }
+        index.apply_block(blocks[h], height, meter, p);
+        ASSERT_EQ(index.digest(), oracle.digest())
+            << shards << " shards, pool=" << (p != nullptr) << ", block " << h;
+        ASSERT_EQ(meter.count(), oracle_meter.count()) << shards << " shards, block " << h;
+        ASSERT_EQ(index.size(), oracle.size()) << shards << " shards, block " << h;
+        ASSERT_EQ(index.memory_bytes(), oracle.memory_bytes()) << shards << " shards, block " << h;
+      }
+      for (std::uint8_t tag = 0; tag < 32; ++tag) {
+        ic::InstructionMeter a;
+        ic::InstructionMeter b;
+        EXPECT_EQ(index.utxos_for_script(script(tag), a), oracle.utxos_for_script(script(tag), b))
+            << shards << " shards, script " << int{tag};
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Point mutations and value semantics
 
