@@ -4,15 +4,18 @@
 // store fixed-width 32-byte keys).
 //
 // Layout: live UTXOs are fixed-width 64-byte POD entries in one contiguous
-// vector; scriptPubKey bytes live in an append-only byte arena and are
-// interned per shard (every UTXO paying the same script shares one copy).
-// Two power-of-two open-addressing tables (linear probing, tombstones) index
-// the entries: outpoint → entry and script bytes → script record. An
-// outpoint slot carries a 32-bit tag from its hash next to the entry index,
-// so a probe reads an entry only when the tags match. Entries
-// of one script form a doubly-linked chain threaded through the entry
-// vector, kept sorted by (height desc, outpoint asc) — the canonical
-// get_utxos response order — so reads need no per-node allocations at all.
+// vector; scriptPubKey bytes live in a byte arena and are interned per shard
+// (every UTXO paying the same script shares one copy). Two power-of-two
+// open-addressing tables (linear probing, no tombstones) index the entries:
+// outpoint → entry and script bytes → script record. Every slot is 64 bits:
+// the upper 32 bits of its key's hash (the tag) over a 32-bit index. The
+// home slot is the hash's top log2(capacity) bits, so the tag alone locates
+// it: a probe reads an entry or script bytes only when the tags match, and
+// an erase shifts later cluster members back into the hole (backward-shift
+// deletion) without reading either. Entries of one script form a
+// doubly-linked chain threaded through the entry vector, kept sorted by
+// (height desc, outpoint asc) — the canonical get_utxos response order — so
+// reads need no per-node allocations at all.
 //
 // Versus the node-map layout this replaces (unordered_map nodes + heap
 // TxOut byte vectors + a std::map per script), the arena cuts host bytes
@@ -21,16 +24,21 @@
 // the backend holds, so the `utxo.shard.*` gauges report real numbers
 // instead of node-overhead estimates.
 //
-// Tombstone compaction: erases mark slots/entries dead; when dead entries
-// or dead script bytes cross deterministic thresholds the arena compacts
-// in place (entry order preserved, tables rebuilt). All triggers are
-// counts, never timing, so two arenas fed the same operation sequence are
-// identical — including visit() order — which the checkpoint determinism
-// tests pin.
+// Every erase pays for itself at once: its table slots are refilled by the
+// backward shift, its entry row goes on a LIFO free list, and a retired
+// script record goes on the free list of its length, whose next script of
+// that length overwrites the record's bytes in place (standard output
+// templates come in a few fixed lengths). Compaction — dropping dead rows
+// and retired bytes, preserving live entry order — runs only when dead rows
+// outnumber half the live ones or retired bytes of lengths nobody reuses
+// fill half the arena, and on restore. All triggers are counts, never
+// timing, so two arenas fed the same operation sequence are identical —
+// including visit() order — which the checkpoint determinism tests pin.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -46,6 +54,8 @@ class FlatUtxoArena {
  public:
   /// Sentinel index: no entry / no record / empty slot.
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Slots in each table of a new arena (a power of two).
+  static constexpr std::size_t kInitialSlots = 16;
 
   struct Found {
     bitcoin::Amount value = 0;
@@ -93,19 +103,33 @@ class FlatUtxoArena {
 
   /// Exact bytes attributable to live data: live entries (64 B each), their
   /// interned script bytes, one 8-byte outpoint slot per live entry, and a
-  /// record plus one 4-byte slot per live script.
+  /// record plus one 8-byte slot per live script.
   std::uint64_t live_bytes() const;
   /// Exact host capacity the arena holds (entry vector, script arena, both
-  /// slot tables, script records — capacities, not sizes).
+  /// slot tables, script records, free-list heads — capacities, not sizes).
   std::uint64_t resident_bytes() const;
+  /// Bytes appended to the script arena: live scripts plus retired bytes no
+  /// script has reused yet.
+  std::uint64_t script_arena_bytes() const { return script_bytes_.size(); }
 
-  /// Drops dead entries and dead script bytes, preserving live entry order,
-  /// and rebuilds both tables. Runs automatically off deterministic
-  /// dead-count thresholds; public for tests and explicit quiescing.
+  /// Drops dead entries and retired script records and bytes, preserving
+  /// live entry order, and rebuilds both tables at their tight capacity.
+  /// Runs off deterministic dead-count thresholds and after a restore;
+  /// public for tests and explicit quiescing.
   void compact();
   std::uint64_t compactions() const { return compactions_; }
-  /// Outpoint-table rebuilds: growth, tombstone clearing, and compaction.
+  /// Outpoint-table rebuilds: growth and compaction.
   std::uint64_t outpoint_rehashes() const { return outpoint_rehashes_; }
+
+  /// The tables' hashes and home slots, public so tests can pick keys that
+  /// collide or wrap. The home slot in a table of `capacity` = 2^k slots is
+  /// the hash's top k bits; a slot keeps its key's top 32 hash bits, so the
+  /// same call on a slot value gives that slot's home.
+  static std::uint64_t hash_outpoint(const bitcoin::OutPoint& outpoint);
+  static std::uint64_t hash_script(util::ByteSpan script);
+  static std::size_t home_slot(std::uint64_t hash, std::size_t capacity) {
+    return static_cast<std::size_t>(hash >> (std::countl_zero(capacity) + 1));
+  }
 
  private:
   /// 64-byte POD row. `live` doubles as padding; dead rows keep `next` as
@@ -125,17 +149,15 @@ class FlatUtxoArena {
   struct ScriptRec {
     std::uint64_t offset = 0;  // into script_bytes_
     std::uint32_t length = 0;
-    std::uint32_t head = kNil;   // first chain entry; kNil when dead
+    std::uint32_t head = kNil;   // first chain entry; kNil when retired
     std::uint32_t count = 0;     // live entries on the chain
-    std::uint32_t next_free = kNil;
+    std::uint32_t next_free = kNil;  // next retired record of the same length
   };
-
-  /// Outpoint hash; the low bits pick the slot, the upper 32 are the tag.
-  static std::uint64_t hash_outpoint(const std::uint8_t* txid, std::uint32_t vout);
-  static std::uint64_t hash_outpoint(const bitcoin::OutPoint& outpoint) {
-    return hash_outpoint(outpoint.txid.data.data(), outpoint.vout);
-  }
-  static std::uint64_t hash_script(util::ByteSpan script);
+  /// Head of the free list of retired script records of one length.
+  struct FreeList {
+    std::uint32_t length = 0;
+    std::uint32_t head = kNil;
+  };
 
   util::ByteSpan script_span(const ScriptRec& rec) const {
     return util::ByteSpan(script_bytes_.data() + rec.offset, rec.length);
@@ -153,14 +175,15 @@ class FlatUtxoArena {
   std::uint32_t slot_index(const bitcoin::OutPoint& outpoint) const {
     return slot_index(outpoint, hash_outpoint(outpoint));
   }
-  std::uint32_t script_rec_index(util::ByteSpan script) const;
+  /// Index of the script's record, or kNil. `hash` is hash_script(script).
+  std::uint32_t script_rec_index(util::ByteSpan script, std::uint64_t hash) const;
 
-  void insert_outpoint_slot(std::uint64_t hash, std::uint32_t entry_idx);
-  void insert_script_slot(util::ByteSpan script, std::uint32_t rec_idx);
-  void maybe_grow_outpoint_table();
-  void maybe_grow_script_table();
-  void rehash_outpoint_table(std::size_t capacity);
-  void rehash_script_table(std::size_t capacity);
+  /// Mints a live record holding `script`, reusing a retired record of the
+  /// same length and its bytes when there is one.
+  std::uint32_t intern_script(util::ByteSpan script);
+  /// Empties the slot of a record whose chain just emptied and files the
+  /// record on its length's free list.
+  void retire_script(std::uint32_t rec_idx);
   void maybe_compact();
 
   /// Links `idx` into its script's chain at the canonical position.
@@ -175,19 +198,15 @@ class FlatUtxoArena {
   std::size_t dead_entries_ = 0;
 
   std::vector<std::uint8_t> script_bytes_;
-  std::uint64_t dead_script_bytes_ = 0;
+  std::uint64_t dead_script_bytes_ = 0;  // bytes of retired records not yet reused
   std::vector<ScriptRec> script_recs_;
-  std::uint32_t free_recs_ = kNil;
+  std::vector<FreeList> free_recs_;  // sorted by length; emptied lists stay
   std::size_t live_scripts_ = 0;
 
-  /// Slot value: kEmpty, kTombstone, or an index into entries_/script_recs_.
-  /// Outpoint slots hold it in their low 32 bits, under the hash tag.
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-  static constexpr std::uint32_t kTombstone = 0xfffffffeu;
+  /// Slots: kNil when empty, else (hash tag << 32 | index into entries_ /
+  /// script_recs_).
   std::vector<std::uint64_t> outpoint_slots_;
-  std::size_t outpoint_tombstones_ = 0;
-  std::vector<std::uint32_t> script_slots_;
-  std::size_t script_tombstones_ = 0;
+  std::vector<std::uint64_t> script_slots_;
 
   std::uint64_t compactions_ = 0;
   std::uint64_t outpoint_rehashes_ = 0;

@@ -1,12 +1,14 @@
 // FlatUtxoArena: the compact per-shard UTXO backing store. Covers the
-// open-addressing tables, script interning, canonical chain order,
-// tombstone compaction, exact byte accounting, and a randomized
-// differential check against the node-map oracle backend.
+// open-addressing tables and their backward-shift erase, script interning
+// and in-place reuse of retired script bytes, canonical chain order,
+// compaction, exact byte accounting, and a randomized differential check
+// against the node-map oracle backend.
 #include "persist/flat_utxo_arena.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "persist/shard_store.h"
@@ -257,11 +259,12 @@ TEST(FlatUtxoArenaTest, DifferentialAgainstMapBackend) {
 
   // Erase/re-insert churn at a constant live count over a universe of 8192
   // keys, 512 live at a time, all paying one script that stays live. Each
-  // erase leaves a tombstone, and the universe is wide enough that they
-  // outrun reuse, so the outpoint table keeps rebuilding; since the live
-  // count never changes, every rebuild after the first lands at the same
-  // capacity, and nothing else in the arena grows.
+  // erase refills its slot by backward shift and each insert reuses the row
+  // the erase freed, so nothing in the arena rebuilds, compacts or grows:
+  // with tombstones, this churn forced four same-capacity outpoint-table
+  // rebuilds within ~35k steps.
   constexpr std::uint32_t kUniverse = 8192;
+  constexpr int kSteps = 40000;
   const util::Bytes churn_script = script(0xee, 40);
   auto churn_key = [](std::uint32_t k) {
     return k % 2 == 0 ? high_bytes_op(2048 + k / 2) : op(0xa5, 4096 + k / 2);
@@ -277,10 +280,10 @@ TEST(FlatUtxoArenaTest, DifferentialAgainstMapBackend) {
     }
   }
   const FlatUtxoArena& flat = arena.arena();
-  const std::uint64_t first_rehash = flat.outpoint_rehashes() + 1;
-  std::uint64_t resident_at_first = 0;
+  const std::uint64_t rehashes = flat.outpoint_rehashes();
   const std::uint64_t compactions = flat.compactions();
-  for (int step = 0; step < 100000 && flat.outpoint_rehashes() < first_rehash + 3; ++step) {
+  const std::uint64_t resident = arena.resident_bytes();
+  for (int step = 0; step < kSteps; ++step) {
     std::size_t out = rng.next_below(live_keys.size());
     std::size_t in = rng.next_below(dead_keys.size());
     std::swap(live_keys[out], dead_keys[in]);
@@ -291,13 +294,10 @@ TEST(FlatUtxoArenaTest, DifferentialAgainstMapBackend) {
     int h = static_cast<int>(rng.next_below(97));
     ASSERT_TRUE(arena.insert(o, v, h, churn_script));
     ASSERT_TRUE(map.insert(o, v, h, churn_script));
-    if (resident_at_first == 0 && flat.outpoint_rehashes() == first_rehash) {
-      resident_at_first = arena.resident_bytes();
-    }
+    ASSERT_EQ(arena.resident_bytes(), resident) << step;
   }
-  ASSERT_GE(flat.outpoint_rehashes(), first_rehash + 3);
-  EXPECT_EQ(flat.compactions(), compactions);  // tombstone clearing, not compaction
-  EXPECT_EQ(arena.resident_bytes(), resident_at_first);
+  EXPECT_EQ(flat.outpoint_rehashes(), rehashes);
+  EXPECT_EQ(flat.compactions(), compactions);
   ASSERT_EQ(arena.size(), map.size());
   expect_same_script_reads(arena, map, churn_script);
   for (std::uint32_t k = 0; k < kUniverse; ++k) {
@@ -308,6 +308,149 @@ TEST(FlatUtxoArenaTest, DifferentialAgainstMapBackend) {
       EXPECT_EQ(a->value, m->value);
     }
   }
+}
+
+TEST(FlatUtxoArenaTest, BackwardShiftEraseAcrossWrap) {
+  // Keys homed at the last slots of a new arena's table, so that their
+  // cluster wraps past slot 0. Inserted in this order (homes 14, 14, 0, 15,
+  // 0, 15) they fill slots 14, 15, 0, 1, 2 and 3: one key homed at 0 sits at
+  // its home, which a shift into slot 15 must leave alone, and the other
+  // sits two past it. The first, a middle and the last member by slot are
+  // erased in every order, once in the outpoint table and once in the
+  // script table.
+  constexpr std::size_t kSlots = FlatUtxoArena::kInitialSlots;
+  const std::vector<std::size_t> homes = {kSlots - 2, kSlots - 2, 0, kSlots - 1, 0, kSlots - 1};
+  const std::array<std::size_t, 3> victims = {0, 3, 5};
+  util::Rng rng(25);
+  auto random_bytes = [&](std::uint8_t* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(rng.next_below(256));
+  };
+  struct Member {
+    bitcoin::OutPoint outpoint;
+    util::Bytes script;
+  };
+  // Draws from the seed until each home has a key; `key_hash` hashes the
+  // member's key for the table under test.
+  auto draw = [&](auto make, auto key_hash) {
+    std::vector<Member> cluster;
+    for (std::size_t home : homes) {
+      Member m = make(cluster.size());
+      while (FlatUtxoArena::home_slot(key_hash(m), kSlots) != home) m = make(cluster.size());
+      cluster.push_back(m);
+    }
+    return cluster;
+  };
+  const std::vector<Member> by_outpoint = draw(
+      [&](std::size_t i) {
+        Member m{op(0), script(static_cast<std::uint8_t>(i % 2))};
+        random_bytes(m.outpoint.txid.data.data(), 32);
+        return m;
+      },
+      [](const Member& m) { return FlatUtxoArena::hash_outpoint(m.outpoint); });
+  const std::vector<Member> by_script = draw(
+      [&](std::size_t i) {
+        Member m{op(static_cast<std::uint8_t>(0x40 + i)), util::Bytes(25)};
+        random_bytes(m.script.data(), m.script.size());
+        return m;
+      },
+      [](const Member& m) { return FlatUtxoArena::hash_script(m.script); });
+
+  for (const std::vector<Member>* cluster : {&by_outpoint, &by_script}) {
+    std::array<std::size_t, 3> order = victims;
+    do {
+      SCOPED_TRACE(testing::Message() << (cluster == &by_outpoint ? "outpoints" : "scripts")
+                                      << ", erase order " << order[0] << order[1] << order[2]);
+      ArenaShardStore arena;
+      MapShardStore map;
+      for (std::size_t i = 0; i < cluster->size(); ++i) {
+        const Member& m = (*cluster)[i];
+        ASSERT_TRUE(arena.insert(m.outpoint, 1000 + static_cast<int>(i), 1, m.script));
+        ASSERT_TRUE(map.insert(m.outpoint, 1000 + static_cast<int>(i), 1, m.script));
+      }
+      ASSERT_EQ(arena.arena().outpoint_rehashes(), 0u);  // still the 16-slot table
+      std::vector<bool> erased(cluster->size(), false);
+      for (std::size_t victim : order) {
+        ASSERT_TRUE(arena.erase((*cluster)[victim].outpoint).has_value());
+        ASSERT_TRUE(map.erase((*cluster)[victim].outpoint).has_value());
+        erased[victim] = true;
+        for (std::size_t i = 0; i < cluster->size(); ++i) {
+          const Member& m = (*cluster)[i];
+          auto found = arena.find(m.outpoint);
+          ASSERT_EQ(found.has_value(), !erased[i]) << "member " << i;
+          if (found) {
+            EXPECT_EQ(found->value, 1000 + static_cast<int>(i));
+          }
+          expect_same_script_reads(arena, map, m.script);
+        }
+        ASSERT_EQ(arena.distinct_scripts(), map.distinct_scripts());
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+TEST(FlatUtxoArenaTest, RetiredScriptBytesAreReused) {
+  // Constant-live churn where every insert pays a fresh script of a standard
+  // output-template length. Each takes a retired record of its length and
+  // overwrites the record's bytes in place, so the arena neither grows nor
+  // compacts; only a length never retired appends.
+  constexpr std::array<std::size_t, 4> kLengths = {22, 23, 25, 34};
+  constexpr std::size_t kLive = 256;
+  constexpr std::size_t kSpare = 32;  // retired records held in reserve
+  constexpr std::size_t kSteps = 10 * kLive;
+  FlatUtxoArena arena;
+  util::Rng rng(34);
+  struct Live {
+    bitcoin::OutPoint outpoint;
+    util::Bytes script;
+  };
+  std::vector<Live> live;
+  std::array<std::size_t, kLengths.size()> retired{};  // per length
+  std::uint32_t next_vout = 0;
+  auto add = [&](std::size_t length) {
+    Live u{op(0x77, next_vout++), util::Bytes(length)};
+    for (auto& b : u.script) b = static_cast<std::uint8_t>(rng.next_below(256));
+    ASSERT_TRUE(arena.insert(u.outpoint, 1, 0, u.script));
+    live.push_back(std::move(u));
+  };
+  auto remove = [&](std::size_t i) {
+    auto erased = arena.erase(live[i].outpoint);
+    ASSERT_TRUE(erased.has_value());
+    auto length = std::find(kLengths.begin(), kLengths.end(), erased->script_len);
+    ASSERT_NE(length, kLengths.end());
+    ++retired[static_cast<std::size_t>(length - kLengths.begin())];
+    live[i] = std::move(live.back());
+    live.pop_back();
+  };
+  auto expect_scripts_read_back = [&] {
+    util::Bytes out;
+    for (const Live& u : live) {
+      ASSERT_TRUE(arena.script_of(u.outpoint, out));
+      ASSERT_EQ(out, u.script);
+    }
+  };
+
+  for (std::size_t i = 0; i < kLive + kSpare; ++i) add(kLengths[i % kLengths.size()]);
+  for (std::size_t i = 0; i < kSpare; ++i) remove(live.size() - 1);  // 8 of each length
+  const std::uint64_t resident = arena.resident_bytes();
+  const std::uint64_t arena_bytes = arena.script_arena_bytes();
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    remove(rng.next_below(live.size()));
+    std::size_t pick;
+    do {
+      pick = rng.next_below(kLengths.size());
+    } while (retired[pick] == 0);
+    --retired[pick];
+    add(kLengths[pick]);
+    ASSERT_EQ(arena.resident_bytes(), resident) << step;
+    ASSERT_EQ(arena.script_arena_bytes(), arena_bytes) << step;
+    if (step % 64 == 0) expect_scripts_read_back();
+  }
+  EXPECT_EQ(arena.compactions(), 0u);
+  expect_scripts_read_back();
+
+  add(40);  // no 40-byte script ever retired
+  EXPECT_EQ(arena.script_arena_bytes(), arena_bytes + 40);
+  expect_scripts_read_back();
 }
 
 TEST(FlatUtxoArenaTest, ByteAccountingTracksLiveSet) {
