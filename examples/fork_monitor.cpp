@@ -175,12 +175,19 @@ int main(int argc, char** argv) {
 
   // Final stability sweep: one observation per surviving block, so the
   // histogram summarizes the end-state distribution (forks pruned by the
-  // reroot no longer contribute).
-  auto& stability =
-      metrics.histogram("monitor.stability", obs::Histogram::exponential_bounds(1.0, 2.0, 8));
+  // reroot no longer contribute). A block on a losing fork has negative
+  // stability; the histogram holds non-negative values, so those blocks are
+  // counted instead.
+  auto& stability = metrics.histogram("monitor.stability");
+  auto& negative = metrics.counter("monitor.stability_negative");
   for (int h = tree.root().height; h <= tree.max_height(); ++h) {
     for (const auto& hash : tree.blocks_at_height(h)) {
-      stability.observe(tree.confirmation_stability(hash));
+      int s = tree.confirmation_stability(hash);
+      if (s < 0) {
+        negative.inc();
+      } else {
+        stability.record(static_cast<std::uint64_t>(s));
+      }
     }
   }
   printer.update_metrics();

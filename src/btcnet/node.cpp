@@ -81,8 +81,7 @@ void BitcoinNode::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.cmpct_fallback_full = &registry->counter("cmpct.fallback.full");
   metrics_.cmpct_bytes_sketch = &registry->counter("cmpct.bytes.compact");
   metrics_.cmpct_bytes_full_equiv = &registry->counter("cmpct.bytes.full_equiv");
-  metrics_.cmpct_sketch_cells =
-      &registry->histogram("cmpct.sketch_cells", obs::Histogram::decade_bounds(1, 100000));
+  metrics_.cmpct_sketch_cells = &registry->histogram("cmpct.sketch_cells");
   metrics_.relay_sketches_sent = &registry->counter("relay.sketches_sent");
   metrics_.relay_sketch_bytes = &registry->counter("relay.sketch_bytes");
   metrics_.relay_diffs_decoded = &registry->counter("relay.diffs_decoded");
@@ -92,8 +91,7 @@ void BitcoinNode::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.relay_fanout_invs = &registry->counter("relay.fanout_invs");
   metrics_.relay_rounds = &registry->counter("relay.rounds_completed");
   metrics_.relay_round_timeouts = &registry->counter("relay.round_timeouts");
-  metrics_.relay_sketch_cells =
-      &registry->histogram("relay.sketch_cells", obs::Histogram::decade_bounds(1, 100000));
+  metrics_.relay_sketch_cells = &registry->histogram("relay.sketch_cells");
   metrics_.mempool_rbf_replaced = &registry->counter("mempool.rbf_replaced");
   metrics_.mempool_evicted_expired = &registry->counter("mempool.evicted_expired");
   metrics_.mempool_evicted_sizecap = &registry->counter("mempool.evicted_sizecap");
@@ -318,7 +316,7 @@ void BitcoinNode::handle_addr(NodeId, const MsgAddr&) {
 MsgCmpctBlock BitcoinNode::make_compact(const Block& block) {
   MsgCmpctBlock msg{reconcile::CompactBlockCodec::encode(block, estimator_.estimate())};
   if (metrics_.cmpct_sketch_cells != nullptr) {
-    metrics_.cmpct_sketch_cells->observe(static_cast<double>(msg.compact.sketch.cell_count()));
+    metrics_.cmpct_sketch_cells->record(msg.compact.sketch.cell_count());
   }
   return msg;
 }
@@ -674,7 +672,7 @@ void BitcoinNode::remove_mempool_tx(const Hash256& txid) {
   mempool_.erase(it);
 }
 
-void BitcoinNode::evict_subtree(const Hash256& txid, obs::Counter* reason) {
+void BitcoinNode::evict_subtree(Hash256 txid, obs::Counter* reason) {
   auto it = mempool_.find(txid);
   if (it == mempool_.end()) return;
   std::vector<Hash256> children;
@@ -905,7 +903,7 @@ void BitcoinNode::start_recon_round(NodeId peer, ReconLink& link) {
   if (metrics_.relay_sketches_sent != nullptr) {
     metrics_.relay_sketches_sent->inc();
     metrics_.relay_sketch_bytes->inc(msg.sketch.wire_size());
-    metrics_.relay_sketch_cells->observe(static_cast<double>(link.round_cells));
+    metrics_.relay_sketch_cells->record(link.round_cells);
   }
   network_->send(id_, peer, std::move(msg));
   std::uint32_t round = link.round;

@@ -209,8 +209,9 @@ class BitcoinNode : public Endpoint {
   /// timer, queued announcements). No-op when absent.
   void remove_mempool_tx(const util::Hash256& txid);
   /// Removes `txid` and every in-mempool descendant, counting each into
-  /// `reason` (when attached).
-  void evict_subtree(const util::Hash256& txid, obs::Counter* reason);
+  /// `reason` (when attached). Takes the id by value: callers pass ids held
+  /// in the fee index or the spends map, which the removal erases.
+  void evict_subtree(util::Hash256 txid, obs::Counter* reason);
   void enforce_mempool_cap();
   void update_mempool_gauges();
 

@@ -29,22 +29,21 @@ BitcoinCanister::EndpointCall::EndpointCall(BitcoinCanister& canister, std::stri
       span_(canister.tracer_, std::string("canister.") + std::string(name), "canister") {}
 
 BitcoinCanister::EndpointCall::~EndpointCall() {
-  double instructions = static_cast<double>(segment_.sample());
+  std::uint64_t instructions = segment_.sample();
+  double modelled_us = static_cast<double>(instructions) / kInstructionsPerUs;
   if (span_.active()) {
     // Simulated time stands still while a call executes, so the span ends at
     // its modelled execution latency rather than at now().
-    span_.attr("instructions", segment_.sample());
-    span_.attr("latency_ms", instructions / kInstructionsPerMs);
-    span_.end_at(span_.start() +
-                 static_cast<obs::TraceTime>(instructions / kInstructionsPerUs));
+    span_.attr("instructions", instructions);
+    span_.attr("latency_ms", static_cast<double>(instructions) / kInstructionsPerMs);
+    span_.end_at(span_.start() + static_cast<obs::TraceTime>(modelled_us));
   }
-  if (metrics_->slo != nullptr) {
-    metrics_->slo->record(static_cast<std::uint64_t>(instructions / kInstructionsPerUs));
-  }
+  auto latency_us = static_cast<std::uint64_t>(modelled_us);
+  if (metrics_->slo != nullptr) metrics_->slo->record(latency_us);
   if (metrics_->calls == nullptr) return;
   metrics_->calls->inc();
-  metrics_->instructions->observe(instructions);
-  metrics_->latency_ms->observe(instructions / kInstructionsPerMs);
+  metrics_->instructions->record(instructions);
+  metrics_->latency_us->record(latency_us);
 }
 
 void BitcoinCanister::set_metrics(obs::MetricsRegistry* registry) {
@@ -60,8 +59,7 @@ void BitcoinCanister::set_metrics(obs::MetricsRegistry* registry) {
     std::string prefix = std::string("canister.") + name;
     em.calls = &registry->counter(prefix + ".calls");
     em.instructions = &registry->histogram(prefix + ".instructions");
-    em.latency_ms = &registry->histogram(prefix + ".latency_ms",
-                                         obs::Histogram::decade_bounds(1e-3, 1e6));
+    em.latency_us = &registry->histogram(prefix + ".latency_us");
     return em;
   };
   metrics_.get_utxos = endpoint("get_utxos");
@@ -276,7 +274,7 @@ std::size_t BitcoinCanister::advance_anchor() {
     ingest_log_.push_back(stats);
     if (metrics_.blocks_ingested != nullptr) {
       metrics_.blocks_ingested->inc();
-      metrics_.ingest_instructions->observe(static_cast<double>(stats.instructions));
+      metrics_.ingest_instructions->record(stats.instructions);
     }
 
     // The stable block header is archived (headers are kept forever); the
@@ -628,120 +626,6 @@ Outcome<BitcoinCanister::GetBlockHeadersResponse> BitcoinCanister::get_block_hea
 }
 
 namespace {
-constexpr std::uint32_t kSnapshotMagic = 0x69636263;  // "icbc"
-constexpr std::uint32_t kSnapshotVersion = 1;
-}  // namespace
-
-util::Bytes BitcoinCanister::serialize_state() const {
-  util::ByteWriter w;
-  w.u32le(kSnapshotMagic);
-  w.u32le(kSnapshotVersion);
-
-  // Header tree: root (height + prev cumulative work), then every other
-  // header in height order (parents always precede children).
-  const auto& root = tree_.root();
-  w.i32le(root.height);
-  crypto::U256 prev_work = root.cumulative_work - root.block_work;
-  w.bytes(prev_work.to_be_bytes().span());
-  root.header.serialize(w);
-  std::vector<bitcoin::BlockHeader> headers;
-  for (int h = root.height + 1; h <= tree_.max_height(); ++h) {
-    for (const auto& hash : tree_.blocks_at_height(h)) {
-      headers.push_back(tree_.find(hash)->header);
-    }
-  }
-  w.varint(headers.size());
-  for (const auto& header : headers) header.serialize(w);
-
-  w.varint(unstable_blocks_.size());
-  for (const auto& [hash, block] : unstable_blocks_) w.var_bytes(block.serialize());
-
-  w.varint(stable_headers_.size());
-  for (const auto& header : stable_headers_) header.serialize(w);
-
-  w.varint(stable_utxos_.size());
-  stable_utxos_.visit([&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
-                          util::ByteSpan script) {
-    outpoint.serialize(w);
-    w.i64le(value);
-    w.var_bytes(script);
-    w.i32le(height);
-  });
-
-  w.varint(pending_txs_.size());
-  for (const auto& raw : pending_txs_) w.var_bytes(raw);
-
-  return std::move(w).take();
-}
-
-BitcoinCanister BitcoinCanister::from_snapshot(const bitcoin::ChainParams& params,
-                                               CanisterConfig config, util::ByteSpan snapshot) {
-  util::ByteReader r(snapshot);
-  if (r.u32le() != kSnapshotMagic) throw util::DecodeError("snapshot: bad magic");
-  if (r.u32le() != kSnapshotVersion) throw util::DecodeError("snapshot: unsupported version");
-
-  BitcoinCanister canister(params, config);
-
-  int root_height = r.i32le();
-  crypto::U256 prev_work = crypto::U256::from_be_bytes(r.bytes(32));
-  bitcoin::BlockHeader root = bitcoin::BlockHeader::deserialize(r);
-  canister.stable_utxos_ =
-      UtxoIndex(config.costs,
-                UtxoIndex::ShardConfig{config.utxo_shards, config.utxo_snapshot_reads,
-                                       config.utxo_backend});  // drop the genesis seed
-  canister.tree_ = chain::HeaderTree(params, root, root_height, prev_work);
-
-  // The stored headers were fully validated before the snapshot was taken;
-  // only structural linkage matters on restore.
-  chain::ValidationOptions lax;
-  lax.check_pow = false;
-  lax.check_difficulty = false;
-  lax.check_timestamp = false;
-  std::size_t n_headers = r.checked_len(r.varint());
-  for (std::size_t i = 0; i < n_headers; ++i) {
-    bitcoin::BlockHeader header = bitcoin::BlockHeader::deserialize(r);
-    if (canister.tree_.accept(header, 0, nullptr, lax) != chain::AcceptResult::kAccepted) {
-      throw util::DecodeError("snapshot: orphan header");
-    }
-  }
-
-  std::size_t n_blocks = r.checked_len(r.varint());
-  for (std::size_t i = 0; i < n_blocks; ++i) {
-    bitcoin::Block block = bitcoin::Block::parse(r.var_bytes());
-    util::Hash256 hash = block.hash();
-    if (!canister.tree_.contains(hash)) throw util::DecodeError("snapshot: stray block");
-    std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-    canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
-                                       pool.get());
-    canister.unstable_blocks_.emplace(hash, std::move(block));
-  }
-  canister.recompute_max_available_height();
-
-  canister.stable_headers_.clear();
-  std::size_t n_archived = r.checked_len(r.varint());
-  canister.stable_headers_.reserve(n_archived);
-  for (std::size_t i = 0; i < n_archived; ++i) {
-    canister.stable_headers_.push_back(bitcoin::BlockHeader::deserialize(r));
-  }
-
-  std::size_t n_utxos = r.checked_len(r.varint());
-  for (std::size_t i = 0; i < n_utxos; ++i) {
-    bitcoin::OutPoint outpoint = bitcoin::OutPoint::deserialize(r);
-    bitcoin::Amount value = r.i64le();
-    util::Bytes script = r.var_bytes();
-    int height = r.i32le();
-    canister.stable_utxos_.load_entry(outpoint, value, height, script);
-  }
-  canister.stable_utxos_.finish_load();
-
-  std::size_t n_pending = r.checked_len(r.varint());
-  for (std::size_t i = 0; i < n_pending; ++i) canister.pending_txs_.push_back(r.var_bytes());
-
-  if (!r.done()) throw util::DecodeError("snapshot: trailing bytes");
-  return canister;
-}
-
-namespace {
 // Checkpoint section ids (persist envelope; strictly increasing on the wire).
 constexpr std::uint32_t kSecMeta = 1;            // anchor: height, prev work, root header
 constexpr std::uint32_t kSecHeaders = 2;         // unstable headers, parents first
@@ -789,33 +673,9 @@ util::Bytes BitcoinCanister::write_checkpoint() const {
     w.varint(stable_headers_.size());
     for (const auto& header : stable_headers_) header.serialize(w);
   }
-  {
-    // Globally sorted by outpoint: the section bytes are invariant under the
-    // writer's shard count, backend, and snapshot mode. Script bytes are
-    // copied out because shard pins only live for the duration of visit().
-    util::ByteWriter& w = cw.begin_section(kSecUtxos);
-    struct Row {
-      bitcoin::OutPoint outpoint;
-      bitcoin::Amount value;
-      int height;
-      util::Bytes script;
-    };
-    std::vector<Row> rows;
-    rows.reserve(stable_utxos_.size());
-    stable_utxos_.visit([&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
-                            util::ByteSpan script) {
-      rows.push_back(Row{outpoint, value, height, util::Bytes(script.begin(), script.end())});
-    });
-    std::sort(rows.begin(), rows.end(),
-              [](const Row& a, const Row& b) { return a.outpoint < b.outpoint; });
-    w.u64le(rows.size());
-    for (const Row& row : rows) {
-      row.outpoint.serialize(w);
-      w.i64le(row.value);
-      w.i32le(row.height);
-      w.var_bytes(row.script);
-    }
-  }
+  // The canonical UTXO encoding (sorted by outpoint): invariant under the
+  // writer's shard count, backend, and snapshot mode.
+  stable_utxos_.encode(cw.begin_section(kSecUtxos));
   {
     util::ByteWriter& w = cw.begin_section(kSecPending);
     w.varint(pending_txs_.size());
@@ -901,16 +761,8 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
 
     {
       util::ByteReader r = reader.section(kSecUtxos);
-      std::uint64_t n = r.u64le();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        bitcoin::OutPoint outpoint = bitcoin::OutPoint::deserialize(r);
-        bitcoin::Amount value = r.i64le();
-        int height = r.i32le();
-        util::Bytes script = r.var_bytes();
-        canister.stable_utxos_.load_entry(outpoint, value, height, script);
-      }
+      canister.stable_utxos_.decode(r);
       if (!r.done()) throw util::DecodeError("utxo trailing bytes");
-      canister.stable_utxos_.finish_load();
     }
 
     {

@@ -180,16 +180,9 @@ class BitcoinCanister {
   // ------------------------- Upgrade persistence -------------------------
 
   /// Serializes the full canister state (anchor, header tree, unstable
-  /// blocks, stable UTXO set, archived headers, pending transactions) — what
-  /// a production canister writes to stable memory across upgrades.
-  util::Bytes serialize_state() const;
-
-  /// Reconstructs a canister from a serialize_state() snapshot. Throws
-  /// util::DecodeError on malformed input.
-  static BitcoinCanister from_snapshot(const bitcoin::ChainParams& params,
-                                       CanisterConfig config, util::ByteSpan snapshot);
-
-  /// V2 checkpoint: the sectioned, CRC-guarded persist envelope (see
+  /// blocks, archived headers, stable UTXO set, pending transactions, meter
+  /// total) — what a production canister writes to stable memory across
+  /// upgrades — into the sectioned, CRC-guarded persist envelope (see
   /// persist/checkpoint.h and DESIGN.md §12). Every section is canonical —
   /// the UTXO set globally sorted by outpoint, header/block sets sorted by
   /// hash — so the byte stream is a pure function of logical state:
@@ -201,7 +194,8 @@ class BitcoinCanister {
   /// different CanisterConfig (shard count / backend / query mode). The
   /// restored canister's UTXO digest, query responses, and meter total are
   /// identical to the writer's. Throws persist::CheckpointError — never a
-  /// partially restored canister — on any corruption.
+  /// partially restored canister — on any corruption, including a UTXO
+  /// section that is not canonical (kMalformed).
   static BitcoinCanister from_checkpoint(const bitcoin::ChainParams& params,
                                          CanisterConfig config, util::ByteSpan checkpoint);
 
@@ -276,7 +270,7 @@ class BitcoinCanister {
   struct EndpointMetrics {
     obs::Counter* calls = nullptr;
     obs::Histogram* instructions = nullptr;
-    obs::Histogram* latency_ms = nullptr;
+    obs::Histogram* latency_us = nullptr;
     obs::SloTracker::Endpoint* slo = nullptr;
   };
   /// RAII guard: counts the call and, on scope exit, records the metered

@@ -25,7 +25,7 @@ void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& b
   if (metrics_.builds != nullptr) {
     metrics_.builds->inc();
     if (build_clock_) {
-      metrics_.build_us->observe(static_cast<double>(build_clock_() - t0));
+      metrics_.build_us->record(build_clock_() - t0);
     }
   }
   update_gauges();
@@ -109,8 +109,7 @@ void UnstableIndex::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.builds = &registry->counter("canister.delta.builds");
   metrics_.resident = &registry->gauge("canister.delta.resident_bytes");
   metrics_.blocks = &registry->gauge("canister.delta.blocks");
-  metrics_.build_us = &registry->histogram("canister.delta.build_us",
-                                           obs::Histogram::decade_bounds(1.0, 1e6));
+  metrics_.build_us = &registry->histogram("canister.delta.build_us");
   update_gauges();
 }
 

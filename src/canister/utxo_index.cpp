@@ -82,7 +82,7 @@ std::vector<std::unique_ptr<UtxoIndex::Shard>> UtxoIndex::make_shards(
   return shards;
 }
 
-// Moves are for value-semantics plumbing (from_snapshot reassigns the store,
+// Moves are for value-semantics plumbing (from_checkpoint reassigns the store,
 // BitcoinCanister is returned by value); the source must be quiescent and is
 // left holding one fresh empty shard so its invariants (shards_.size() >= 1)
 // survive.
@@ -476,13 +476,11 @@ std::size_t UtxoIndex::distinct_scripts() const {
   return total;
 }
 
-util::Hash256 UtxoIndex::digest() const {
-  // Pin every shard for the walk, gather, sort globally by outpoint: the
-  // serialization — and hence the digest — is independent of shard count,
-  // backend, insertion order, and table iteration order. The script spans
-  // point into pinned shard storage and stay valid until the pins drop at
-  // function exit. Pinning all shards cannot deadlock: pins lock in index
-  // order, and no writer ever holds two shard mutexes.
+void UtxoIndex::encode(util::ByteWriter& w) const {
+  // Pin every shard for the walk, gather, sort globally by outpoint. The
+  // script spans point into pinned shard storage and stay valid until the
+  // pins drop at function exit. Pinning all shards cannot deadlock: pins
+  // lock in index order, and no writer ever holds two shard mutexes.
   std::vector<Pinned> pins;
   pins.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) pins.push_back(pin_shard(s));
@@ -505,15 +503,35 @@ util::Hash256 UtxoIndex::digest() const {
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.outpoint < b.outpoint; });
 
-  util::ByteWriter w;
   w.u64le(rows.size());
   for (const Row& row : rows) {
-    w.bytes(row.outpoint.txid.span());
-    w.u32le(row.outpoint.vout);
+    row.outpoint.serialize(w);
     w.i64le(row.value);
     w.i32le(row.height);
     w.var_bytes(row.script);
   }
+}
+
+void UtxoIndex::decode(util::ByteReader& r) {
+  std::uint64_t n = r.u64le();
+  bitcoin::OutPoint previous;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    bitcoin::OutPoint outpoint = bitcoin::OutPoint::deserialize(r);
+    if (i > 0 && !(previous < outpoint)) {
+      throw util::DecodeError("utxo outpoints not strictly ascending");
+    }
+    bitcoin::Amount value = r.i64le();
+    int height = r.i32le();
+    util::ByteSpan script = r.bytes(r.checked_len(r.varint()));
+    load_entry(outpoint, value, height, script);
+    previous = outpoint;
+  }
+  finish_load();
+}
+
+util::Hash256 UtxoIndex::digest() const {
+  util::ByteWriter w;
+  encode(w);
   return crypto::sha256d(w.data());
 }
 

@@ -196,21 +196,18 @@ class UtxoIndex {
   /// or nullopt.
   std::optional<util::Bytes> script_of(const bitcoin::OutPoint& outpoint) const;
 
-  /// Visits every entry as fn(outpoint, value, height, script_span); used by
-  /// state serialization. Order is deterministic for a fixed shard
-  /// configuration and mutation history (shards in index order, each shard
-  /// in its backend order) but NOT shard-count-invariant — use digest() for
-  /// cross-configuration comparison. The script span is only valid for the
-  /// duration of the callback. Quiesced callers only.
-  template <typename Fn>
-  void visit(Fn&& fn) const {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Pinned pin = pin_shard(s);
-      auto walk = [&](const bitcoin::OutPoint& outpoint, bitcoin::Amount value, int height,
-                      util::ByteSpan script) { fn(outpoint, value, height, script); };
-      pin->store->visit(persist::ShardStore::EntryVisitor(walk));
-    }
-  }
+  /// Canonical encoding of the whole set: u64le count, then every entry in
+  /// ascending outpoint order as (outpoint, value i64le, height i32le,
+  /// script var_bytes). A pure function of the set — independent of
+  /// insertion order, table iteration order, shard count, and backend. The
+  /// checkpoint's UTXO section is these bytes, and digest() hashes them.
+  void encode(util::ByteWriter& w) const;
+  /// Loads an encode() stream into this freshly constructed index, then
+  /// finish_load()s it. Throws util::DecodeError on truncation or when
+  /// outpoints are not strictly ascending (a repeated or out-of-order row),
+  /// so only canonical bytes restore. Leaves any bytes after the last entry
+  /// unread.
+  void decode(util::ByteReader& r);
 
   /// Bulk-restore path: inserts one entry directly into the owning shard,
   /// with no metering, metrics, or epoch bump per entry. The index must be
@@ -250,11 +247,10 @@ class UtxoIndex {
   /// canister's ingestion loop) flush once per block instead.
   void flush_size_gauges() { update_size_gauges(); }
 
-  /// Deterministic digest of the entire UTXO set: sha256 over the
-  /// outpoint-sorted serialization of every entry (outpoint, value, height,
-  /// script). Independent of insertion order, hash-map iteration order, AND
-  /// shard count — serial and shard-parallel ingestion at any configuration
-  /// must produce identical digests.
+  /// Deterministic digest of the entire UTXO set: sha256d of encode().
+  /// Independent of insertion order, hash-map iteration order, AND shard
+  /// count — serial and shard-parallel ingestion at any configuration must
+  /// produce identical digests.
   util::Hash256 digest() const;
 
  private:

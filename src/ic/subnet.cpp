@@ -76,7 +76,7 @@ void Subnet::run_round() {
   if (metrics_.rounds != nullptr) {
     metrics_.rounds->inc();
     if (node_is_byzantine(block_maker_)) metrics_.byzantine_maker_rounds->inc();
-    metrics_.round_gap_us->observe(static_cast<double>(gap_us));
+    metrics_.round_gap_us->record(gap_us);
   }
   if (slo_rounds_ != nullptr) slo_rounds_->record(gap_us);
 
@@ -115,8 +115,7 @@ void Subnet::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.rounds = &registry->counter("ic.rounds");
   metrics_.byzantine_maker_rounds = &registry->counter("ic.byzantine_maker_rounds");
   metrics_.heartbeats = &registry->gauge("ic.heartbeats");
-  metrics_.round_gap_us = &registry->histogram(
-      "ic.round_gap_us", obs::Histogram::decade_bounds(1e3, 1e8));
+  metrics_.round_gap_us = &registry->histogram("ic.round_gap_us");
   metrics_.heartbeats->set(static_cast<std::int64_t>(heartbeats_.size()));
 }
 

@@ -1,37 +1,46 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 #include "obs/json_detail.h"
 
 namespace icbtc::obs {
 
-using detail::format_double;
 using detail::json_escape;
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      throw std::invalid_argument("Histogram: bounds must be strictly ascending");
-    }
-  }
-  buckets_.assign(bounds_.size() + 1, 0);
+std::size_t Histogram::bucket_index(std::uint64_t value) {
+  if (value < kSubBuckets) return static_cast<std::size_t>(value);
+  // MSB position p >= kSubBits. The octave [2^p, 2^(p+1)) is split into
+  // kSubBuckets/2 sub-buckets of width 2^shift each.
+  unsigned p = 63u - static_cast<unsigned>(std::countl_zero(value));
+  unsigned shift = p - kSubBits + 1;
+  std::uint64_t sub = value >> shift;  // in [kSubBuckets/2, kSubBuckets)
+  return static_cast<std::size_t>(kSubBuckets) +
+         static_cast<std::size_t>(shift - 1) * (kSubBuckets / 2) +
+         static_cast<std::size_t>(sub - kSubBuckets / 2);
 }
 
-Histogram::Histogram(Histogram&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  bounds_ = std::move(other.bounds_);
-  buckets_ = std::move(other.buckets_);
-  count_ = other.count_;
-  sum_ = other.sum_;
-  min_ = other.min_;
-  max_ = other.max_;
+std::uint64_t Histogram::bucket_lower(std::size_t index) {
+  if (index < kSubBuckets) return index;
+  std::size_t off = index - static_cast<std::size_t>(kSubBuckets);
+  unsigned shift = static_cast<unsigned>(off / (kSubBuckets / 2)) + 1;
+  std::uint64_t sub = kSubBuckets / 2 + off % (kSubBuckets / 2);
+  return sub << shift;
 }
 
-void Histogram::observe(double value) {
+std::uint64_t Histogram::bucket_upper(std::size_t index) {
+  if (index < kSubBuckets) return index;
+  std::size_t off = index - static_cast<std::size_t>(kSubBuckets);
+  unsigned shift = static_cast<unsigned>(off / (kSubBuckets / 2)) + 1;
+  return bucket_lower(index) + ((1ULL << shift) - 1);
+}
+
+Histogram::Histogram() : buckets_(kBucketCount, 0) {}
+
+void Histogram::record(std::uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) {
     min_ = max_ = value;
@@ -41,31 +50,25 @@ void Histogram::observe(double value) {
   }
   ++count_;
   sum_ += value;
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+  ++buckets_[bucket_index(value)];
 }
 
 void Histogram::merge(const Histogram& other) {
-  // Snapshot the other side under its own lock first so self-merge and
-  // cross-thread cross-merge cannot deadlock on lock ordering.
-  std::vector<double> other_bounds;
+  // Copy the other side under its own lock first: merging a histogram into
+  // itself or cross-merging two histograms from two threads must not
+  // deadlock on lock ordering.
   std::vector<std::uint64_t> other_buckets;
-  std::uint64_t other_count;
-  double other_sum, other_min, other_max;
+  std::uint64_t other_count, other_sum, other_min, other_max;
   {
     std::lock_guard<std::mutex> lock(other.mu_);
-    other_bounds = other.bounds_;
     other_buckets = other.buckets_;
     other_count = other.count_;
     other_sum = other.sum_;
     other_min = other.min_;
     other_max = other.max_;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (other_bounds != bounds_) {
-    throw std::invalid_argument("Histogram::merge: bucket bounds differ");
-  }
   if (other_count == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) {
     min_ = other_min;
     max_ = other_max;
@@ -78,90 +81,79 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other_buckets[i];
 }
 
+void Histogram::reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = sum_ = min_ = max_ = 0;
+}
+
 std::uint64_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return count_;
 }
 
-double Histogram::sum() const {
+std::uint64_t Histogram::sum() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sum_;
 }
 
-double Histogram::min() const {
+std::uint64_t Histogram::min() const {
   std::lock_guard<std::mutex> lock(mu_);
   return min_;
 }
 
-double Histogram::max() const {
+std::uint64_t Histogram::max() const {
   std::lock_guard<std::mutex> lock(mu_);
   return max_;
 }
 
 double Histogram::mean() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buckets_;
-}
-
-double Histogram::quantile(double q) const {
+std::uint64_t Histogram::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);
   return quantile_locked(q);
 }
 
-double Histogram::quantile_locked(double q) const {
-  // Empty histogram: min_/max_ carry no observation, so the only defensible
-  // answer is 0 (matching mean()).
-  if (count_ == 0) return 0.0;
-  // A single observation is the whole distribution — every quantile is it.
-  if (count_ == 1) return min_;
+std::uint64_t Histogram::quantile_locked(double q) const {
+  if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  double rank = q * static_cast<double>(count_);  // target rank in (0, count]
+  // Nearest-rank (ceil) — integer rank in [1, count], no interpolation, so
+  // the result is a pure function of the recorded multiset.
+  std::uint64_t rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(count_)));
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] == 0) continue;
-    double before = static_cast<double>(cumulative);
     cumulative += buckets_[i];
-    if (rank > static_cast<double>(cumulative)) continue;
-    // Interpolate within this bucket, clamped to the observed range so the
-    // estimate never leaves [min, max].
-    double lower = i == 0 ? min_ : std::max(min_, bounds_[i - 1]);
-    double upper = i < bounds_.size() ? std::min(max_, bounds_[i]) : max_;
-    if (upper < lower) upper = lower;
-    double fraction = (rank - before) / static_cast<double>(buckets_[i]);
-    return lower + (upper - lower) * fraction;
+    if (cumulative < rank) continue;
+    std::uint64_t lower = bucket_lower(i);
+    std::uint64_t upper = bucket_upper(i);
+    std::uint64_t mid = lower + (upper - lower) / 2;
+    return std::clamp(mid, min_, max_);
   }
   return max_;
 }
 
-std::vector<double> Histogram::decade_bounds(double lo, double hi) {
-  if (!(lo > 0.0) || hi < lo) throw std::invalid_argument("decade_bounds: need 0 < lo <= hi");
-  std::vector<double> out;
-  double decade = std::pow(10.0, std::floor(std::log10(lo)));
-  for (;; decade *= 10.0) {
-    for (double step : {1.0, 2.0, 5.0}) {
-      double bound = decade * step;
-      if (bound < lo) continue;
-      out.push_back(bound);
-      if (bound >= hi) return out;
-    }
+std::uint64_t Histogram::count_above(std::uint64_t threshold) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t total = 0;
+  for (std::size_t i = bucket_index(threshold) + 1; i < buckets_.size(); ++i) {
+    total += buckets_[i];
   }
+  return total;
 }
 
-std::vector<double> Histogram::exponential_bounds(double start, double factor, int n) {
-  if (!(start > 0.0) || factor <= 1.0 || n <= 0) {
-    throw std::invalid_argument("exponential_bounds: bad parameters");
+std::vector<Histogram::Bucket> Histogram::nonzero_buckets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Bucket> out;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] == 0) continue;
+    out.push_back(Bucket{bucket_lower(i), bucket_upper(i), buckets_[i]});
   }
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n));
-  double bound = start;
-  for (int i = 0; i < n; ++i, bound *= factor) out.push_back(bound);
   return out;
 }
 
@@ -175,15 +167,9 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_[name];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  if (bounds.empty()) {
-    // Default: instruction-count scale (10^3 .. 10^12), 1-2-5 per decade.
-    bounds = Histogram::decade_bounds(1e3, 1e12);
-  }
-  return histograms_.emplace(name, Histogram(std::move(bounds))).first->second;
+  return histograms_[name];
 }
 
 std::string to_json(const MetricsRegistry& registry) {
@@ -212,21 +198,19 @@ std::string to_json(const MetricsRegistry& registry) {
     first = false;
     out += "    \"" + json_escape(name) + "\": {\n";
     out += "      \"count\": " + std::to_string(h.count()) + ",\n";
-    out += "      \"sum\": " + format_double(h.sum()) + ",\n";
-    out += "      \"min\": " + format_double(h.min()) + ",\n";
-    out += "      \"max\": " + format_double(h.max()) + ",\n";
-    out += "      \"p50\": " + format_double(h.quantile(0.5)) + ",\n";
-    out += "      \"p90\": " + format_double(h.quantile(0.9)) + ",\n";
-    out += "      \"p99\": " + format_double(h.quantile(0.99)) + ",\n";
+    out += "      \"sum\": " + std::to_string(h.sum()) + ",\n";
+    out += "      \"min\": " + std::to_string(h.min()) + ",\n";
+    out += "      \"max\": " + std::to_string(h.max()) + ",\n";
+    out += "      \"p50\": " + std::to_string(h.quantile(0.5)) + ",\n";
+    out += "      \"p90\": " + std::to_string(h.quantile(0.9)) + ",\n";
+    out += "      \"p99\": " + std::to_string(h.quantile(0.99)) + ",\n";
     out += "      \"buckets\": [";
-    const auto counts = h.bucket_counts();
     bool first_bucket = true;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (counts[i] == 0) continue;  // sparse: empty buckets carry no signal
+    for (const Histogram::Bucket& b : h.nonzero_buckets()) {
       out += first_bucket ? "" : ", ";
       first_bucket = false;
-      std::string le = i < h.bounds().size() ? format_double(h.bounds()[i]) : "\"+inf\"";
-      out += "{\"le\": " + le + ", \"count\": " + std::to_string(counts[i]) + "}";
+      out += "{\"le\": " + std::to_string(b.upper) + ", \"count\": " + std::to_string(b.count) +
+             "}";
     }
     out += "]\n    }";
   }

@@ -3,13 +3,13 @@
 // ASCII-table exporters.
 //
 // Everything is deterministic: metrics are stored and exported in name order,
-// histograms use fixed bucket bounds, and no wall-clock or randomness enters
-// the snapshot — two identical seeded simulation runs therefore produce
-// byte-identical to_json() output. Components accept an optional
+// histograms share one fixed bucket geometry, and no wall-clock or randomness
+// enters the snapshot — two identical seeded simulation runs therefore
+// produce byte-identical to_json() output. Components accept an optional
 // MetricsRegistry* and no-op when none is attached, so the hot paths pay a
 // single null check when unobserved.
 //
-// Thread safety: counters and gauges are atomics, histogram observation and
+// Thread safety: counters and gauges are atomics, histogram recording and
 // registry lookup/creation are mutex-guarded, so instruments may be updated
 // from parallel::ThreadPool workers. Snapshotting (to_json/to_table) is only
 // meaningful once concurrent writers have quiesced — totals are exact then,
@@ -47,61 +47,94 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram with an exact count/sum/min/max summary and
-/// bucket-interpolated quantile estimates (Prometheus-style: each bucket
-/// counts observations <= its upper bound; an implicit +inf bucket catches
-/// the rest). observe() and the accessors take an internal mutex, so a
-/// histogram may be fed from multiple pool workers.
+/// Fixed-geometry log-bucketed histogram of non-negative integers (µs,
+/// instructions, sketch cells) with an exact count/sum/min/max summary.
+///
+/// Why fixed boundaries: the bucket a value lands in is a pure function of
+/// the value — independent of what was recorded before it, of the thread
+/// that recorded it, and of any configuration. Two histograms fed disjoint
+/// shards of one stream therefore merge() into exactly the histogram the
+/// combined stream would have produced: quantiles never drift under
+/// sharding, and exports are byte-identical across seeded runs. This is
+/// what lets per-replica / per-shard SLO trackers combine into one
+/// subnet-wide picture (and lets bench_load gate on deterministic
+/// BENCH_load.json bytes).
+///
+/// Bucketing scheme:
+///   - values < 2^kSubBits are exact (one bucket per value);
+///   - above that, each power-of-two octave is split into 2^(kSubBits-1)
+///     equal sub-buckets, so the relative bucket width — and therefore the
+///     worst-case quantile error — is bounded by 2^(1-kSubBits) (~3% at the
+///     default 6 sub-bucket bits), uniformly across the whole 64-bit range.
+///
+/// Thread safety: record()/merge() and the accessors take an internal mutex,
+/// so a histogram may be fed from parallel::ThreadPool workers. Snapshots are
+/// exact once writers quiesce.
 class Histogram {
  public:
-  /// `bounds` are the finite bucket upper bounds, strictly ascending.
-  explicit Histogram(std::vector<double> bounds);
+  /// Sub-bucket resolution: 2^kSubBits exact values, then 2^(kSubBits-1)
+  /// sub-buckets per octave. 6 bits bounds quantile error at ~3.2%.
+  static constexpr unsigned kSubBits = 6;
+  static constexpr std::uint64_t kSubBuckets = 1ULL << kSubBits;
+  /// Total bucket count for the full 64-bit value domain.
+  static constexpr std::size_t kBucketCount =
+      static_cast<std::size_t>(kSubBuckets) + (64 - kSubBits) * (kSubBuckets / 2);
 
-  /// Move is needed for map emplacement; the source must be quiescent.
-  Histogram(Histogram&& other) noexcept;
+  /// Bucket index for `value` — a pure function, identical in every
+  /// histogram instance (the "fixed boundaries" contract).
+  static std::size_t bucket_index(std::uint64_t value);
+  /// Inclusive lower bound of bucket `index`.
+  static std::uint64_t bucket_lower(std::size_t index);
+  /// Inclusive upper bound of bucket `index`.
+  static std::uint64_t bucket_upper(std::size_t index);
 
-  void observe(double value);
+  Histogram();
 
-  /// Exact merge: adds `other`'s buckets and summary into this histogram.
-  /// Both histograms must share identical bucket bounds (fixed boundaries
-  /// are what make the merge exact — the result is bucket-for-bucket what a
-  /// single histogram observing both streams would hold); throws
-  /// std::invalid_argument otherwise. Quantile estimates therefore never
-  /// drift under sharded collection. Thread-safe, including self-merge.
+  void record(std::uint64_t value);
+
+  /// Exact merge: adds the other histogram's buckets and summary into this
+  /// one. Because boundaries are fixed, the result is bucket-for-bucket
+  /// identical to a single histogram that observed both streams.
+  /// Thread-safe, including self-merge.
   void merge(const Histogram& other);
 
+  /// Resets to the empty state (used by SloTracker window rolls).
+  void reset();
+
   std::uint64_t count() const;
-  double sum() const;
-  double min() const;
-  double max() const;
+  std::uint64_t sum() const;
+  std::uint64_t min() const;  // 0 when empty
+  std::uint64_t max() const;
   double mean() const;
 
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket (non-cumulative) counts; size() == bounds().size() + 1, the
-  /// last entry being the +inf overflow bucket.
-  std::vector<std::uint64_t> bucket_counts() const;
+  /// q-quantile (q in [0,1], clamped) as the midpoint of the bucket holding
+  /// the nearest-rank target, clamped to the observed [min, max].
+  /// Deterministic: a pure function of the recorded multiset. Empty
+  /// histogram returns 0.
+  std::uint64_t quantile(double q) const;
 
-  /// Estimated q-quantile (q in [0,1]) by linear interpolation inside the
-  /// bucket holding the target rank, clamped to the observed [min, max].
-  /// Edge cases: an empty histogram returns 0; a single observation is
-  /// returned for every q; q=0 returns min(), q=1 returns max().
-  double quantile(double q) const;
+  /// Number of recorded values strictly greater than `threshold`
+  /// resolvable at bucket granularity (counts whole buckets whose lower
+  /// bound exceeds the threshold; the threshold's own bucket is excluded).
+  std::uint64_t count_above(std::uint64_t threshold) const;
 
-  /// 1-2-5 decade bounds spanning [lo, hi], e.g. {1,2,5,10,20,50,...}.
-  static std::vector<double> decade_bounds(double lo, double hi);
-  /// Geometric bounds: start, start*factor, ... (`n` bounds).
-  static std::vector<double> exponential_bounds(double start, double factor, int n);
+  /// Sparse snapshot of the non-empty buckets, ascending by bound.
+  struct Bucket {
+    std::uint64_t lower = 0;
+    std::uint64_t upper = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Bucket> nonzero_buckets() const;
 
  private:
-  double quantile_locked(double q) const;
+  std::uint64_t quantile_locked(double q) const;
 
-  std::vector<double> bounds_;
   mutable std::mutex mu_;
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // kBucketCount entries
   std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = 0;
+  std::uint64_t max_ = 0;
 };
 
 /// Named metrics, created on first use and stored in name order. References
@@ -113,9 +146,7 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Creates the histogram with `bounds` on first use (default: instruction-
-  /// scale decade bounds); later calls return the existing histogram.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
@@ -138,6 +169,7 @@ class MetricsRegistry {
 ///    "histograms": {"name": {"count":..,"sum":..,"min":..,"max":..,
 ///                            "p50":..,"p90":..,"p99":..,
 ///                            "buckets": [{"le":..,"count":..}, ...]}}}
+/// where each sparse bucket's "le" is its inclusive upper bound.
 std::string to_json(const MetricsRegistry& registry);
 
 /// Renders the registry as a fixed-width ASCII table for live display (the

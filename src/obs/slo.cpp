@@ -1,164 +1,6 @@
 #include "obs/slo.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-
 namespace icbtc::obs {
-
-// ---------------------------------------------------------------------------
-// LatencyHistogram
-// ---------------------------------------------------------------------------
-
-std::size_t LatencyHistogram::bucket_index(std::uint64_t value) {
-  if (value < kSubBuckets) return static_cast<std::size_t>(value);
-  // MSB position p >= kSubBits. The octave [2^p, 2^(p+1)) is split into
-  // kSubBuckets/2 sub-buckets of width 2^shift each.
-  unsigned p = 63u - static_cast<unsigned>(std::countl_zero(value));
-  unsigned shift = p - kSubBits + 1;
-  std::uint64_t sub = value >> shift;  // in [kSubBuckets/2, kSubBuckets)
-  return static_cast<std::size_t>(kSubBuckets) +
-         static_cast<std::size_t>(shift - 1) * (kSubBuckets / 2) +
-         static_cast<std::size_t>(sub - kSubBuckets / 2);
-}
-
-std::uint64_t LatencyHistogram::bucket_lower(std::size_t index) {
-  if (index < kSubBuckets) return index;
-  std::size_t off = index - static_cast<std::size_t>(kSubBuckets);
-  unsigned shift = static_cast<unsigned>(off / (kSubBuckets / 2)) + 1;
-  std::uint64_t sub = kSubBuckets / 2 + off % (kSubBuckets / 2);
-  return sub << shift;
-}
-
-std::uint64_t LatencyHistogram::bucket_upper(std::size_t index) {
-  if (index < kSubBuckets) return index;
-  std::size_t off = index - static_cast<std::size_t>(kSubBuckets);
-  unsigned shift = static_cast<unsigned>(off / (kSubBuckets / 2)) + 1;
-  return bucket_lower(index) + ((1ULL << shift) - 1);
-}
-
-LatencyHistogram::LatencyHistogram() : buckets_(kBucketCount, 0) {}
-
-void LatencyHistogram::record(std::uint64_t value_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0) {
-    min_ = max_ = value_us;
-  } else {
-    min_ = std::min(min_, value_us);
-    max_ = std::max(max_, value_us);
-  }
-  ++count_;
-  sum_ += value_us;
-  ++buckets_[bucket_index(value_us)];
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  // Copy the other side under its own lock first: merging a histogram into
-  // itself or cross-merging two histograms from two threads must not
-  // deadlock on lock ordering.
-  std::vector<std::uint64_t> other_buckets;
-  std::uint64_t other_count, other_sum, other_min, other_max;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    other_buckets = other.buckets_;
-    other_count = other.count_;
-    other_sum = other.sum_;
-    other_min = other.min_;
-    other_max = other.max_;
-  }
-  if (other_count == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0) {
-    min_ = other_min;
-    max_ = other_max;
-  } else {
-    min_ = std::min(min_, other_min);
-    max_ = std::max(max_, other_max);
-  }
-  count_ += other_count;
-  sum_ += other_sum;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other_buckets[i];
-}
-
-void LatencyHistogram::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = sum_ = min_ = max_ = 0;
-}
-
-std::uint64_t LatencyHistogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::uint64_t LatencyHistogram::sum() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sum_;
-}
-
-std::uint64_t LatencyHistogram::min() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_;
-}
-
-std::uint64_t LatencyHistogram::max() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
-
-double LatencyHistogram::mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-std::uint64_t LatencyHistogram::quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quantile_locked(q);
-}
-
-std::uint64_t LatencyHistogram::quantile_locked(double q) const {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank (ceil) — integer rank in [1, count], no interpolation, so
-  // the result is a pure function of the recorded multiset.
-  std::uint64_t rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count_)));
-  rank = std::clamp<std::uint64_t>(rank, 1, count_);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    cumulative += buckets_[i];
-    if (cumulative < rank) continue;
-    std::uint64_t lower = bucket_lower(i);
-    std::uint64_t upper = bucket_upper(i);
-    std::uint64_t mid = lower + (upper - lower) / 2;
-    return std::clamp(mid, min_, max_);
-  }
-  return max_;
-}
-
-std::uint64_t LatencyHistogram::count_above(std::uint64_t threshold_us) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (std::size_t i = bucket_index(threshold_us) + 1; i < buckets_.size(); ++i) {
-    total += buckets_[i];
-  }
-  return total;
-}
-
-std::vector<LatencyHistogram::Bucket> LatencyHistogram::nonzero_buckets() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Bucket> out;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    out.push_back(Bucket{bucket_lower(i), bucket_upper(i), buckets_[i]});
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// SloTracker
-// ---------------------------------------------------------------------------
 
 void SloTracker::Endpoint::record(std::uint64_t latency_us, bool error) {
   total_.record(latency_us);

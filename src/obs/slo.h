@@ -1,28 +1,12 @@
-// SLO observability layer (the tail-latency side of §IV-B): an HDR-style
-// log-bucketed latency histogram with *fixed* bucket boundaries, and a
-// per-endpoint SloTracker holding p50/p99/p999 gauges, target thresholds,
-// and error-budget burn counters.
+// SLO observability layer (the tail-latency side of §IV-B): a per-endpoint
+// SloTracker holding p50/p99/p999 gauges, target thresholds, and
+// error-budget burn counters over obs::Histogram, whose fixed bucket
+// geometry makes per-replica / per-shard trackers merge exactly.
 //
-// Why fixed boundaries: the bucket an observation lands in is a pure
-// function of its value — independent of what was observed before it, of
-// the thread that recorded it, and of any configuration. Two histograms fed
-// disjoint shards of one latency stream therefore merge() into exactly the
-// histogram the combined stream would have produced: quantiles never drift
-// under sharding, and exports are byte-identical across seeded runs. This
-// is the property that lets per-replica / per-shard trackers combine into
-// one subnet-wide SLO picture (and lets bench_load gate on deterministic
-// BENCH_load.json bytes).
-//
-// Bucketing scheme (value domain: unsigned microseconds):
-//   - values < 2^kSubBits are exact (one bucket per value);
-//   - above that, each power-of-two octave is split into 2^(kSubBits-1)
-//     equal sub-buckets, so the relative bucket width — and therefore the
-//     worst-case quantile error — is bounded by 2^(1-kSubBits) (~3% at the
-//     default 6 sub-bucket bits), uniformly across the whole 64-bit range.
-//
-// Thread safety: record()/merge() and the accessors take an internal mutex,
-// so a tracker may be hammered from parallel::ThreadPool workers (exercised
-// by the TSan hammer test). Snapshots are exact once writers quiesce.
+// Thread safety: recording, window rolls and the accessors take internal
+// mutexes, so a tracker may be hammered from parallel::ThreadPool workers
+// (exercised by the TSan hammer test). Snapshots are exact once writers
+// quiesce.
 #pragma once
 
 #include <cstdint>
@@ -34,72 +18,6 @@
 #include "obs/metrics.h"
 
 namespace icbtc::obs {
-
-/// Fixed-boundary log-bucketed histogram for latency values in microseconds.
-class LatencyHistogram {
- public:
-  /// Sub-bucket resolution: 2^kSubBits exact values, then 2^(kSubBits-1)
-  /// sub-buckets per octave. 6 bits bounds quantile error at ~3.2%.
-  static constexpr unsigned kSubBits = 6;
-  static constexpr std::uint64_t kSubBuckets = 1ULL << kSubBits;
-  /// Total bucket count for the full 64-bit value domain.
-  static constexpr std::size_t kBucketCount =
-      static_cast<std::size_t>(kSubBuckets) + (64 - kSubBits) * (kSubBuckets / 2);
-
-  /// Bucket index for `value` — a pure function, identical in every
-  /// histogram instance (the "fixed boundaries" contract).
-  static std::size_t bucket_index(std::uint64_t value);
-  /// Inclusive lower bound of bucket `index`.
-  static std::uint64_t bucket_lower(std::size_t index);
-  /// Inclusive upper bound of bucket `index`.
-  static std::uint64_t bucket_upper(std::size_t index);
-
-  LatencyHistogram();
-
-  void record(std::uint64_t value_us);
-
-  /// Exact merge: adds the other histogram's buckets and summary into this
-  /// one. Because boundaries are fixed, the result is bucket-for-bucket
-  /// identical to a single histogram that observed both streams.
-  void merge(const LatencyHistogram& other);
-
-  /// Resets to the empty state (used by SloTracker window rolls).
-  void reset();
-
-  std::uint64_t count() const;
-  std::uint64_t sum() const;
-  std::uint64_t min() const;  // 0 when empty
-  std::uint64_t max() const;
-  double mean() const;
-
-  /// q-quantile (q in [0,1]) as the midpoint of the bucket holding the
-  /// target rank, clamped to the observed [min, max]. Deterministic: a pure
-  /// function of the recorded multiset. Empty histogram returns 0.
-  std::uint64_t quantile(double q) const;
-
-  /// Number of recorded values strictly greater than `threshold_us`
-  /// resolvable at bucket granularity (counts whole buckets whose lower
-  /// bound exceeds the threshold; the threshold's own bucket is excluded).
-  std::uint64_t count_above(std::uint64_t threshold_us) const;
-
-  /// Sparse snapshot of the non-empty buckets, ascending by bound.
-  struct Bucket {
-    std::uint64_t lower = 0;
-    std::uint64_t upper = 0;
-    std::uint64_t count = 0;
-  };
-  std::vector<Bucket> nonzero_buckets() const;
-
- private:
-  std::uint64_t quantile_locked(double q) const;
-
-  mutable std::mutex mu_;
-  std::vector<std::uint64_t> buckets_;  // kBucketCount entries
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = 0;
-  std::uint64_t max_ = 0;
-};
 
 /// Per-endpoint latency / availability objectives. Zero disables a bound.
 struct SloTarget {
@@ -155,7 +73,7 @@ class SloTracker {
 
     const std::string& name() const { return name_; }
     const SloTarget& target() const { return target_; }
-    const LatencyHistogram& histogram() const { return total_; }
+    const Histogram& histogram() const { return total_; }
     std::uint64_t requests() const;
     std::uint64_t errors() const;
     std::uint64_t slow() const;
@@ -167,8 +85,8 @@ class SloTracker {
 
     std::string name_;
     SloTarget target_;
-    LatencyHistogram total_;
-    LatencyHistogram window_;
+    Histogram total_;
+    Histogram window_;
     mutable std::mutex mu_;  // guards the counters below
     std::uint64_t requests_ = 0;
     std::uint64_t errors_ = 0;

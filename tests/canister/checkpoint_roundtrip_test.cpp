@@ -2,16 +2,19 @@
 // round-trip property (restore at a different shard count AND a different
 // backend must reproduce the writer's digest, query responses, and meter
 // total, then stay in lockstep), checkpoint canonicality across writer
-// configurations, canister-level corruption KATs, and the pinning tests for
-// the arena-accurate `utxo.shard.*` / `canister.delta.*` gauges.
+// configurations, the UTXO section as the digest's preimage, canister-level
+// corruption KATs (including non-canonical UTXO rows), and the pinning tests
+// for the arena-accurate `utxo.shard.*` / `canister.delta.*` gauges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "bitcoin/script.h"
 #include "canister/bitcoin_canister.h"
 #include "chain/block_builder.h"
+#include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "persist/checkpoint.h"
 #include "util/rng.h"
@@ -19,12 +22,12 @@
 namespace icbtc::canister {
 namespace {
 
-// Reorg-heavy random chain generator. Unlike the linear persistence-test
-// world, blocks are built once and can be fed to any number of canisters in
-// identical order — the twin-equality property needs the writer and the
-// restored canister to see the same byte stream. Roughly a quarter of steps
-// fork off a recent block, and every tenth step mines a two-block branch off
-// the best tip's parent, forcing a genuine reorg.
+// Reorg-heavy random chain generator. Blocks are built once and can be fed
+// to any number of canisters in identical order — the twin-equality property
+// needs the writer and the restored canister to see the same byte stream.
+// Roughly a quarter of steps fork off a recent block, and every tenth step
+// mines a two-block branch off the best tip's parent, forcing a genuine
+// reorg.
 struct ForkChain {
   const bitcoin::ChainParams& params = bitcoin::ChainParams::regtest();
   chain::HeaderTree tree{params, params.genesis_header};
@@ -135,7 +138,13 @@ void expect_same_views(ForkChain& chain, BitcoinCanister& a, BitcoinCanister& b)
   EXPECT_EQ(a.archived_headers(), b.archived_headers());
   EXPECT_EQ(a.pending_transactions(), b.pending_transactions());
   EXPECT_EQ(a.header_tree().best_tip(), b.header_tree().best_tip());
+  EXPECT_EQ(a.is_synced(), b.is_synced());
   EXPECT_EQ(a.meter().count(), b.meter().count());
+  // Archived headers below the anchor plus the current chain above it.
+  auto headers_a = a.get_block_headers(0);
+  auto headers_b = b.get_block_headers(0);
+  EXPECT_EQ(headers_a.status, headers_b.status);
+  EXPECT_EQ(headers_a.value.headers, headers_b.value.headers);
   for (const auto& addr : chain.addresses) {
     for (int conf : {0, 2, 6}) {
       EXPECT_EQ(a.get_balance(addr, conf).value, b.get_balance(addr, conf).value)
@@ -163,6 +172,7 @@ TEST_P(CheckpointRoundTrip, RestoreMatchesNeverStoppedTwin) {
   writer_config.utxo_shards = 8;
   BitcoinCanister writer(chain.params, writer_config);
   chain.run(writer, 40);
+  ASSERT_GT(writer.anchor_height(), 0);  // archived headers and a stable set to restore
 
   bitcoin::Transaction pending;
   bitcoin::TxIn in;
@@ -219,6 +229,27 @@ TEST_P(CheckpointRoundTrip, CheckpointBytesInvariantAcrossWriterConfig) {
   EXPECT_EQ(a.write_checkpoint(), a.write_checkpoint());
 }
 
+// The checkpoint's UTXO section id (kSecUtxos in the canister's writer).
+constexpr std::uint32_t kUtxoSection = 5;
+
+util::Bytes utxo_section(util::ByteSpan checkpoint) {
+  util::ByteReader r = persist::CheckpointReader(checkpoint).section(kUtxoSection);
+  util::ByteSpan payload = r.bytes(r.remaining());
+  return util::Bytes(payload.begin(), payload.end());
+}
+
+TEST_P(CheckpointRoundTrip, UtxoDigestHashesTheUtxoSection) {
+  // One canonical UTXO encoding serves both: the digest is sha256d of the
+  // checkpoint's UTXO section payload, at any writer shard count.
+  ForkChain chain(GetParam());
+  CanisterConfig config = CanisterConfig::for_params(chain.params);
+  config.utxo_shards = 8;
+  BitcoinCanister canister(chain.params, config);
+  chain.run(canister, 30);
+  ASSERT_GT(canister.utxo_count(), 0u);
+  EXPECT_EQ(canister.utxo_digest(), crypto::sha256d(utxo_section(canister.write_checkpoint())));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointRoundTrip, ::testing::Values(11u, 22u, 33u));
 
 // ---------------------------------------------------------------------------
@@ -273,6 +304,78 @@ TEST(CheckpointCorruption, CanisterRejectsCorruptStreams) {
   EXPECT_TRUE(trailing_code == Code::kTrailingBytes || trailing_code == Code::kCrcMismatch ||
               trailing_code == Code::kTruncated)
       << to_string(trailing_code);
+}
+
+struct UtxoRow {
+  bitcoin::OutPoint outpoint;
+  bitcoin::Amount value = 0;
+  int height = 0;
+  util::Bytes script;
+};
+
+std::vector<UtxoRow> utxo_rows(util::ByteSpan checkpoint) {
+  util::Bytes payload = utxo_section(checkpoint);
+  util::ByteReader r(payload);
+  std::vector<UtxoRow> rows(r.u64le());
+  for (UtxoRow& row : rows) {
+    row.outpoint = bitcoin::OutPoint::deserialize(r);
+    row.value = r.i64le();
+    row.height = r.i32le();
+    row.script = r.var_bytes();
+  }
+  return rows;
+}
+
+/// `checkpoint` resealed, with valid CRCs, around `rows` as its UTXO section.
+util::Bytes with_utxo_rows(util::ByteSpan checkpoint, const std::vector<UtxoRow>& rows) {
+  persist::CheckpointReader reader(checkpoint);
+  persist::CheckpointWriter writer;
+  std::size_t copied = 0;
+  for (std::uint32_t id = 1; copied < reader.section_count(); ++id) {
+    if (!reader.has_section(id)) continue;
+    ++copied;
+    util::ByteWriter& w = writer.begin_section(id);
+    if (id != kUtxoSection) {
+      util::ByteReader r = reader.section(id);
+      w.bytes(r.bytes(r.remaining()));
+      continue;
+    }
+    w.u64le(rows.size());
+    for (const UtxoRow& row : rows) {
+      row.outpoint.serialize(w);
+      w.i64le(row.value);
+      w.i32le(row.height);
+      w.var_bytes(row.script);
+    }
+  }
+  return std::move(writer).finish();
+}
+
+TEST(CheckpointCorruption, CanisterRejectsNonCanonicalUtxoRows) {
+  ForkChain chain(7);
+  BitcoinCanister writer(chain.params, CanisterConfig::for_params(chain.params));
+  chain.run(writer, 15);
+  util::Bytes good = writer.write_checkpoint();
+  std::vector<UtxoRow> rows = utxo_rows(good);
+  ASSERT_GE(rows.size(), 2u);
+  ASSERT_EQ(with_utxo_rows(good, rows), good);  // resealing alone changes nothing
+
+  // The first outpoint again under another script: restored naively, it
+  // would sit in two shards and the set would hold one UTXO too many.
+  auto other = std::find_if(rows.begin(), rows.end(),
+                            [&](const UtxoRow& row) { return row.script != rows[0].script; });
+  ASSERT_NE(other, rows.end());
+  UtxoRow repeat = rows[0];
+  repeat.script = other->script;
+  std::vector<UtxoRow> repeated = rows;
+  repeated.insert(repeated.begin() + 1, repeat);
+  EXPECT_EQ(restore_code(chain, with_utxo_rows(good, repeated)),
+            persist::CheckpointError::Code::kMalformed);
+
+  std::vector<UtxoRow> swapped = rows;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_EQ(restore_code(chain, with_utxo_rows(good, swapped)),
+            persist::CheckpointError::Code::kMalformed);
 }
 
 TEST(CheckpointCorruption, FileRoundTripAndMissingFile) {

@@ -1,16 +1,21 @@
-// MetricsRegistry unit tests plus the observability determinism guarantee:
-// two identical seeded simulation runs must export byte-identical JSON.
+// MetricsRegistry and Histogram unit tests plus the observability
+// determinism guarantee: two identical seeded simulation runs must export
+// byte-identical JSON.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "adapter/adapter.h"
 #include "bitcoin/script.h"
 #include "btcnet/harness.h"
 #include "canister/bitcoin_canister.h"
 #include "parallel/thread_pool.h"
+#include "util/rng.h"
 
 namespace icbtc::obs {
 namespace {
@@ -31,153 +36,251 @@ TEST(GaugeTest, SetAddAndNegativeValues) {
   EXPECT_EQ(g.value(), -15);
 }
 
-TEST(HistogramTest, SummaryStatistics) {
-  Histogram h({1.0, 10.0, 100.0});
-  for (double v : {1.0, 2.0, 5.0, 10.0}) h.observe(v);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 18.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 10.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 4.5);
+// ---------------------------------------------------------------------------
+// Histogram: fixed-geometry bucket math, quantile determinism, exact merges.
+
+TEST(HistogramTest, SmallValuesAreExact) {
+  for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v) {
+    std::size_t idx = Histogram::bucket_index(v);
+    EXPECT_EQ(idx, static_cast<std::size_t>(v));
+    EXPECT_EQ(Histogram::bucket_lower(idx), v);
+    EXPECT_EQ(Histogram::bucket_upper(idx), v);
+  }
+}
+
+TEST(HistogramTest, EveryValueLandsInsideItsBucket) {
+  util::Rng rng(42);
+  for (int i = 0; i < 20000; ++i) {
+    // Exercise every octave: random mantissa at a random bit width.
+    std::uint64_t width = rng.next_below(64);
+    std::uint64_t v = rng.next() >> width;
+    std::size_t idx = Histogram::bucket_index(v);
+    ASSERT_LT(idx, Histogram::kBucketCount);
+    EXPECT_GE(v, Histogram::bucket_lower(idx));
+    EXPECT_LE(v, Histogram::bucket_upper(idx));
+  }
+}
+
+TEST(HistogramTest, BucketBoundariesAreContiguousAndSorted) {
+  // upper(i) + 1 == lower(i+1) across the whole table: no gaps, no overlap.
+  for (std::size_t i = 0; i + 1 < Histogram::kBucketCount; ++i) {
+    ASSERT_EQ(Histogram::bucket_upper(i) + 1, Histogram::bucket_lower(i + 1))
+        << "discontinuity at bucket " << i;
+  }
+  EXPECT_EQ(Histogram::bucket_upper(Histogram::kBucketCount - 1),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(HistogramTest, RelativeBucketWidthIsBounded) {
+  // The HDR guarantee: bucket width / lower bound <= 2^(1-kSubBits).
+  const double kMaxRelative = 1.0 / static_cast<double>(Histogram::kSubBuckets / 2);
+  for (std::size_t i = Histogram::kSubBuckets; i < Histogram::kBucketCount; ++i) {
+    double lower = static_cast<double>(Histogram::bucket_lower(i));
+    double width =
+        static_cast<double>(Histogram::bucket_upper(i) - Histogram::bucket_lower(i) + 1);
+    EXPECT_LE(width / lower, kMaxRelative + 1e-12) << "bucket " << i;
+  }
 }
 
 TEST(HistogramTest, BucketUpperBoundsAreInclusive) {
-  Histogram h({1.0, 10.0});
-  h.observe(1.0);   // == first bound: belongs to the le=1 bucket
-  h.observe(5.0);   // le=10 bucket
-  h.observe(10.0);  // == second bound: still le=10
-  h.observe(11.0);  // +inf overflow
-  ASSERT_EQ(h.bucket_counts().size(), 3u);
-  EXPECT_EQ(h.bucket_counts()[0], 1u);
-  EXPECT_EQ(h.bucket_counts()[1], 2u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
+  // 100 and 101 share the bucket [100, 101]; 102 opens the next one.
+  Histogram h;
+  for (std::uint64_t v : {100u, 101u, 102u}) h.record(v);
+  auto buckets = h.nonzero_buckets();
+  ASSERT_EQ(buckets.size(), 2u);
+  EXPECT_EQ(buckets[0].lower, 100u);
+  EXPECT_EQ(buckets[0].upper, 101u);
+  EXPECT_EQ(buckets[0].count, 2u);
+  EXPECT_EQ(buckets[1].lower, 102u);
+  EXPECT_EQ(buckets[1].count, 1u);
 }
 
-TEST(HistogramTest, RejectsNonAscendingBounds) {
-  EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(Histogram({5.0, 2.0}), std::invalid_argument);
+TEST(HistogramTest, SummaryStatistics) {
+  // count/sum/min/max stay exact where the buckets are not: 10^12 lies in a
+  // bucket 2^34 values wide.
+  const std::uint64_t kTop = 1'000'000'000'000;
+  std::size_t top = Histogram::bucket_index(kTop);
+  ASSERT_EQ(Histogram::bucket_upper(top) - Histogram::bucket_lower(top) + 1, 1ULL << 34);
+  Histogram h;
+  const std::uint64_t values[] = {1, 1'000, 1'000'000, kTop};
+  for (std::uint64_t v : values) h.record(v);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 1'000'001'001'001u);
+  EXPECT_EQ(h.min(), 1u);
+  EXPECT_EQ(h.max(), kTop);
+  EXPECT_DOUBLE_EQ(h.mean(), 1'000'001'001'001.0 / 4.0);
 }
 
 TEST(HistogramTest, QuantilesClampToObservedRange) {
-  Histogram h(Histogram::decade_bounds(1.0, 1000.0));
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty histogram
-  for (int i = 0; i < 100; ++i) h.observe(7.0);
-  // All mass at one point: every quantile collapses to it.
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 7.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 7.0);
+  // 1000 falls in the bucket [992, 1007], whose midpoint is 999: the
+  // estimate is clamped to the observed [min, max] instead.
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.record(1000);
+  EXPECT_EQ(h.quantile(0.0), 1000u);
+  EXPECT_EQ(h.quantile(0.5), 1000u);
+  EXPECT_EQ(h.quantile(1.0), 1000u);
 }
 
 TEST(HistogramTest, QuantileOfEmptyHistogramIsZero) {
-  Histogram h({1.0, 10.0});
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
+  Histogram h;
+  EXPECT_EQ(h.quantile(0.0), 0u);
+  EXPECT_EQ(h.quantile(0.5), 0u);
+  EXPECT_EQ(h.quantile(1.0), 0u);
 }
 
 TEST(HistogramTest, SingleObservationIsEveryQuantile) {
-  Histogram h(Histogram::decade_bounds(1.0, 1000.0));
-  h.observe(37.5);
+  Histogram h;
+  h.record(12345);
   for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.quantile(q), 37.5) << "q=" << q;
+    EXPECT_EQ(h.quantile(q), 12345u) << "q=" << q;
   }
 }
 
 TEST(HistogramTest, ExtremeQuantilesReturnObservedMinAndMax) {
-  Histogram h({1.0, 10.0, 100.0});
-  for (double v : {3.0, 7.0, 42.0}) h.observe(v);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 42.0);
+  // Values below kSubBuckets have exact buckets, so the extremes are exact.
+  Histogram h;
+  for (std::uint64_t v : {3u, 7u, 42u}) h.record(v);
+  EXPECT_EQ(h.quantile(0.0), 3u);
+  EXPECT_EQ(h.quantile(1.0), 42u);
   // Out-of-range q clamps rather than extrapolating.
-  EXPECT_DOUBLE_EQ(h.quantile(-0.5), 3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.5), 42.0);
+  EXPECT_EQ(h.quantile(-0.5), 3u);
+  EXPECT_EQ(h.quantile(1.5), 42u);
+}
+
+TEST(HistogramTest, ExactQuantilesBelowSubBucketRange) {
+  // Values < 64 are bucketed exactly, so quantiles are exact nearest-rank.
+  Histogram h;
+  for (std::uint64_t v = 1; v <= 50; ++v) h.record(v);
+  EXPECT_EQ(h.quantile(0.0), 1u);
+  EXPECT_EQ(h.quantile(0.5), 25u);
+  EXPECT_EQ(h.quantile(1.0), 50u);
 }
 
 TEST(HistogramTest, QuantilesAreMonotone) {
-  Histogram h(Histogram::exponential_bounds(1.0, 2.0, 10));
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  double p50 = h.quantile(0.5);
-  double p90 = h.quantile(0.9);
-  double p99 = h.quantile(0.99);
+  Histogram h;
+  for (std::uint64_t v = 1; v <= 1000; v += 7) h.record(v);
+  std::uint64_t p50 = h.quantile(0.5);
+  std::uint64_t p90 = h.quantile(0.9);
+  std::uint64_t p99 = h.quantile(0.99);
   EXPECT_GE(p50, h.min());
   EXPECT_LE(p50, p90);
   EXPECT_LE(p90, p99);
   EXPECT_LE(p99, h.max());
 }
 
-TEST(HistogramTest, MergeMatchesSingleHistogramOracle) {
-  // Two histograms fed disjoint halves of one stream merge into exactly the
-  // histogram a single instance observing the full stream would hold —
-  // the fixed-boundary contract that makes sharded collection exact.
-  auto bounds = Histogram::decade_bounds(1.0, 1e6);
-  Histogram a(bounds), b(bounds), oracle(bounds);
-  for (int i = 0; i < 2000; ++i) {
-    double v = static_cast<double>((i * 7919) % 1000000) + 0.5;
-    oracle.observe(v);
-    (i % 2 == 0 ? a : b).observe(v);
+TEST(HistogramTest, QuantileErrorWithinBucketBound) {
+  Histogram h;
+  util::Rng rng(7);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 5000; ++i) {
+    std::uint64_t v = 100 + rng.next_below(1'000'000);
+    values.push_back(v);
+    h.record(v);
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), oracle.count());
-  EXPECT_DOUBLE_EQ(a.sum(), oracle.sum());
-  EXPECT_DOUBLE_EQ(a.min(), oracle.min());
-  EXPECT_DOUBLE_EQ(a.max(), oracle.max());
-  EXPECT_EQ(a.bucket_counts(), oracle.bucket_counts());
-  for (double q : {0.5, 0.9, 0.99}) EXPECT_DOUBLE_EQ(a.quantile(q), oracle.quantile(q));
+  std::sort(values.begin(), values.end());
+  for (double q : {0.5, 0.9, 0.99, 0.999}) {
+    std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(values.size()));
+    if (rank >= values.size()) rank = values.size() - 1;
+    double exact = static_cast<double>(values[rank]);
+    double est = static_cast<double>(h.quantile(q));
+    EXPECT_NEAR(est, exact, exact * 0.04) << "q=" << q;  // ~3.2% bucket width
+  }
 }
 
-TEST(HistogramTest, MergeRejectsMismatchedBounds) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 3.0});
-  b.observe(1.5);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  // A failed merge leaves the target untouched.
-  EXPECT_EQ(a.count(), 0u);
+TEST(HistogramTest, MergeMatchesSingleHistogramOracle) {
+  // Three shards of one stream, merged in two different orders, each give
+  // exactly the histogram a single instance observing the full stream holds:
+  // the fixed-boundary contract that makes sharded collection exact.
+  Histogram shard[3], oracle;
+  for (int i = 0; i < 3000; ++i) {
+    std::uint64_t v = static_cast<std::uint64_t>(i) * 7919 % 1'000'000;
+    oracle.record(v);
+    shard[i % 3].record(v);
+  }
+  Histogram forward, backward;
+  for (int s : {0, 1, 2}) forward.merge(shard[s]);
+  for (int s : {2, 1, 0}) backward.merge(shard[s]);
+  auto ob = oracle.nonzero_buckets();
+  for (const Histogram* m : {&forward, &backward}) {
+    EXPECT_EQ(m->count(), oracle.count());
+    EXPECT_EQ(m->sum(), oracle.sum());
+    EXPECT_EQ(m->min(), oracle.min());
+    EXPECT_EQ(m->max(), oracle.max());
+    auto mb = m->nonzero_buckets();
+    ASSERT_EQ(mb.size(), ob.size());
+    for (std::size_t i = 0; i < mb.size(); ++i) {
+      EXPECT_EQ(mb[i].lower, ob[i].lower);
+      EXPECT_EQ(mb[i].upper, ob[i].upper);
+      EXPECT_EQ(mb[i].count, ob[i].count);
+    }
+    for (double q : {0.5, 0.9, 0.99}) EXPECT_EQ(m->quantile(q), oracle.quantile(q));
+  }
 }
 
 TEST(HistogramTest, SelfMergeDoublesAndEmptyMergeIsNoOp) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.observe(5.0);
-  h.observe(50.0);
+  Histogram h;
+  h.record(5);
+  h.record(50);
   h.merge(h);  // snapshot-then-apply: self-merge must not deadlock
   EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 110.0);
-  EXPECT_DOUBLE_EQ(h.min(), 5.0);
-  EXPECT_DOUBLE_EQ(h.max(), 50.0);
+  EXPECT_EQ(h.sum(), 110u);
+  EXPECT_EQ(h.min(), 5u);
+  EXPECT_EQ(h.max(), 50u);
 
-  Histogram empty({1.0, 10.0, 100.0});
+  Histogram empty;
   h.merge(empty);
   EXPECT_EQ(h.count(), 4u);
   empty.merge(h);
   EXPECT_EQ(empty.count(), 4u);
-  EXPECT_DOUBLE_EQ(empty.min(), 5.0);
+  EXPECT_EQ(empty.min(), 5u);
 }
 
-TEST(HistogramTest, BoundGenerators) {
-  EXPECT_EQ(Histogram::decade_bounds(1.0, 100.0),
-            (std::vector<double>{1, 2, 5, 10, 20, 50, 100}));
-  EXPECT_EQ(Histogram::exponential_bounds(1.0, 2.0, 4), (std::vector<double>{1, 2, 4, 8}));
-  EXPECT_THROW(Histogram::decade_bounds(0.0, 10.0), std::invalid_argument);
-  EXPECT_THROW(Histogram::exponential_bounds(1.0, 1.0, 3), std::invalid_argument);
+TEST(HistogramTest, CountAboveThreshold) {
+  Histogram h;
+  for (std::uint64_t v : {10u, 20u, 40u, 50000u, 60000u}) h.record(v);
+  EXPECT_EQ(h.count_above(40), 2u);  // exact below kSubBuckets
+  EXPECT_EQ(h.count_above(100000), 0u);
+  EXPECT_EQ(h.count_above(0), 5u);
+}
+
+TEST(HistogramTest, ResetClears) {
+  Histogram h;
+  h.record(123);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  EXPECT_TRUE(h.nonzero_buckets().empty());
 }
 
 TEST(RegistryTest, ReferencesAreStableAcrossInsertions) {
   MetricsRegistry r;
   Counter& c = r.counter("first");
-  for (int i = 0; i < 100; ++i) r.counter("extra." + std::to_string(i));
+  Histogram& h = r.histogram("first.h");
+  for (int i = 0; i < 100; ++i) {
+    r.counter("extra." + std::to_string(i));
+    r.histogram("extra.h." + std::to_string(i));
+  }
   c.inc(7);
   EXPECT_EQ(r.counter("first").value(), 7u);
+  EXPECT_EQ(&r.histogram("first.h"), &h);
 }
 
 TEST(RegistryTest, HistogramBoundsFixedOnFirstUse) {
+  // The registry takes no bounds: the first lookup makes a histogram with
+  // the one shared geometry, and later lookups return that histogram with
+  // its observations intact.
   MetricsRegistry r;
-  Histogram& h = r.histogram("h", {1.0, 2.0});
-  // Later bounds are ignored: same histogram comes back.
-  EXPECT_EQ(&r.histogram("h", {42.0}), &h);
-  EXPECT_EQ(h.bounds(), (std::vector<double>{1.0, 2.0}));
-  // Default bounds cover the instruction scale.
-  Histogram& d = r.histogram("default");
-  EXPECT_DOUBLE_EQ(d.bounds().front(), 1e3);
-  EXPECT_DOUBLE_EQ(d.bounds().back(), 1e12);
+  const std::uint64_t kInstructions = 1'000'000'000'000;
+  Histogram& h = r.histogram("h");
+  h.record(kInstructions);
+  Histogram& again = r.histogram("h");
+  EXPECT_EQ(&again, &h);
+  EXPECT_EQ(again.count(), 1u);
+  auto buckets = again.nonzero_buckets();
+  ASSERT_EQ(buckets.size(), 1u);
+  std::size_t idx = Histogram::bucket_index(kInstructions);
+  EXPECT_EQ(buckets[0].lower, Histogram::bucket_lower(idx));
+  EXPECT_EQ(buckets[0].upper, Histogram::bucket_upper(idx));
 }
 
 TEST(JsonTest, EmptyRegistry) {
@@ -192,17 +295,17 @@ TEST(JsonTest, ValuesAndSparseBuckets) {
   MetricsRegistry r;
   r.counter("events").inc(3);
   r.gauge("level").set(-2);
-  Histogram& h = r.histogram("dist", {1.0, 10.0});
-  h.observe(0.5);
-  h.observe(100.0);
+  Histogram& h = r.histogram("dist");
+  h.record(0);
+  h.record(100);
   std::string json = to_json(r);
   EXPECT_NE(json.find("\"events\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"level\": -2"), std::string::npos);
   EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
-  EXPECT_NE(json.find("{\"le\": 1, \"count\": 1}"), std::string::npos);
-  EXPECT_NE(json.find("{\"le\": \"+inf\", \"count\": 1}"), std::string::npos);
-  // The empty le=10 bucket is omitted (sparse encoding).
-  EXPECT_EQ(json.find("\"le\": 10"), std::string::npos);
+  EXPECT_NE(json.find("\"sum\": 100"), std::string::npos);
+  // Each bucket is labelled by its inclusive upper bound: 100 lies in [100, 101].
+  EXPECT_NE(json.find("\"buckets\": [{\"le\": 0, \"count\": 1}, {\"le\": 101, \"count\": 1}]"),
+            std::string::npos);
 }
 
 TEST(JsonTest, EscapesMetricNames) {
@@ -216,7 +319,7 @@ TEST(TableTest, RendersCountersGaugesAndHistograms) {
   MetricsRegistry r;
   r.counter("net.messages").inc(12);
   r.gauge("adapter.peers").set(5);
-  r.histogram("lat", {1.0, 10.0}).observe(3.0);
+  r.histogram("lat").record(3);
   std::string table = to_table(r);
   EXPECT_NE(table.find("net.messages"), std::string::npos);
   EXPECT_NE(table.find("12"), std::string::npos);
@@ -249,18 +352,18 @@ TEST(ThreadSafetyTest, CountersAndGaugesSurviveConcurrentHammering) {
 
 TEST(ThreadSafetyTest, HistogramObservationsAreNotLost) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("latency", {1.0, 10.0, 100.0});
+  Histogram& h = registry.histogram("latency");
   constexpr std::size_t kTasks = 32;
   constexpr int kObservationsPerTask = 2000;
   parallel::ThreadPool pool(4);
   parallel::parallel_for(&pool, kTasks, [&](std::size_t task) {
     for (int i = 0; i < kObservationsPerTask; ++i) {
-      h.observe(static_cast<double>(task % 3 == 0 ? 5 : 50));
+      h.record(task % 3 == 0 ? 5 : 50);
     }
   });
   EXPECT_EQ(h.count(), kTasks * kObservationsPerTask);
   std::uint64_t bucket_total = 0;
-  for (std::uint64_t c : h.bucket_counts()) bucket_total += c;
+  for (const Histogram::Bucket& b : h.nonzero_buckets()) bucket_total += b.count;
   EXPECT_EQ(bucket_total, h.count());
 }
 
@@ -272,7 +375,7 @@ TEST(ThreadSafetyTest, RegistryCreationRacesResolveToOneMetric) {
     // Everyone races to create the same counter, plus one private each.
     registry.counter("shared").inc();
     registry.counter("private." + std::to_string(task)).inc();
-    registry.histogram("shared.h").observe(1.0);
+    registry.histogram("shared.h").record(1);
   });
   EXPECT_EQ(registry.counter("shared").value(), kTasks);
   EXPECT_EQ(registry.histogram("shared.h").count(), kTasks);

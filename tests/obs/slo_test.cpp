@@ -1,15 +1,12 @@
-// LatencyHistogram / SloTracker unit tests: fixed-boundary bucket math,
-// quantile determinism, exact merges, window rolls, published metric names,
-// and a ThreadPool hammer for the sanitizer builds.
+// SloTracker unit tests: the latency histograms' summary and merge contract,
+// verdicts against targets, window rolls, published metric names, and a
+// ThreadPool hammer (recording racing fan-in merges) for the sanitizer builds.
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <limits>
-#include <vector>
 
 #include "parallel/thread_pool.h"
 #include "util/rng.h"
@@ -17,51 +14,14 @@
 namespace icbtc::obs {
 namespace {
 
-TEST(LatencyHistogramTest, SmallValuesAreExact) {
-  for (std::uint64_t v = 0; v < LatencyHistogram::kSubBuckets; ++v) {
-    std::size_t idx = LatencyHistogram::bucket_index(v);
-    EXPECT_EQ(idx, static_cast<std::size_t>(v));
-    EXPECT_EQ(LatencyHistogram::bucket_lower(idx), v);
-    EXPECT_EQ(LatencyHistogram::bucket_upper(idx), v);
-  }
-}
-
-TEST(LatencyHistogramTest, EveryValueLandsInsideItsBucket) {
-  util::Rng rng(42);
-  for (int i = 0; i < 20000; ++i) {
-    // Exercise every octave: random mantissa at a random bit width.
-    std::uint64_t width = rng.next_below(64);
-    std::uint64_t v = rng.next() >> width;
-    std::size_t idx = LatencyHistogram::bucket_index(v);
-    ASSERT_LT(idx, LatencyHistogram::kBucketCount);
-    EXPECT_GE(v, LatencyHistogram::bucket_lower(idx));
-    EXPECT_LE(v, LatencyHistogram::bucket_upper(idx));
-  }
-}
-
-TEST(LatencyHistogramTest, BucketBoundariesAreContiguousAndSorted) {
-  // upper(i) + 1 == lower(i+1) across the whole table: no gaps, no overlap.
-  for (std::size_t i = 0; i + 1 < LatencyHistogram::kBucketCount; ++i) {
-    ASSERT_EQ(LatencyHistogram::bucket_upper(i) + 1, LatencyHistogram::bucket_lower(i + 1))
-        << "discontinuity at bucket " << i;
-  }
-  EXPECT_EQ(LatencyHistogram::bucket_upper(LatencyHistogram::kBucketCount - 1),
-            std::numeric_limits<std::uint64_t>::max());
-}
-
-TEST(LatencyHistogramTest, RelativeBucketWidthIsBounded) {
-  // The HDR guarantee: bucket width / lower bound <= 2^(1-kSubBits).
-  const double kMaxRelative = 1.0 / static_cast<double>(LatencyHistogram::kSubBuckets / 2);
-  for (std::size_t i = LatencyHistogram::kSubBuckets; i < LatencyHistogram::kBucketCount; ++i) {
-    double lower = static_cast<double>(LatencyHistogram::bucket_lower(i));
-    double width = static_cast<double>(LatencyHistogram::bucket_upper(i) -
-                                       LatencyHistogram::bucket_lower(i) + 1);
-    EXPECT_LE(width / lower, kMaxRelative + 1e-12) << "bucket " << i;
-  }
-}
+// ---------------------------------------------------------------------------
+// Each endpoint keeps its latencies in an obs::Histogram of microseconds.
+// The verdicts read its summary, and replica fan-in (bench_load) merges one
+// endpoint's histograms into another's, so these cases pin both on latency-
+// shaped inputs. The bucket math itself is covered by HistogramTest.
 
 TEST(LatencyHistogramTest, SummaryStatistics) {
-  LatencyHistogram h;
+  Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0u);
   for (std::uint64_t v : {5u, 10u, 10u, 1000u}) h.record(v);
@@ -72,39 +32,11 @@ TEST(LatencyHistogramTest, SummaryStatistics) {
   EXPECT_DOUBLE_EQ(h.mean(), 1025.0 / 4.0);
 }
 
-TEST(LatencyHistogramTest, ExactQuantilesBelowSubBucketRange) {
-  // Values < 64 are bucketed exactly, so quantiles are exact nearest-rank.
-  LatencyHistogram h;
-  for (std::uint64_t v = 1; v <= 50; ++v) h.record(v);
-  EXPECT_EQ(h.quantile(0.0), 1u);
-  EXPECT_EQ(h.quantile(0.5), 25u);
-  EXPECT_EQ(h.quantile(1.0), 50u);
-}
-
-TEST(LatencyHistogramTest, QuantileErrorWithinBucketBound) {
-  LatencyHistogram h;
-  util::Rng rng(7);
-  std::vector<std::uint64_t> values;
-  for (int i = 0; i < 5000; ++i) {
-    std::uint64_t v = 100 + rng.next_below(1'000'000);
-    values.push_back(v);
-    h.record(v);
-  }
-  std::sort(values.begin(), values.end());
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(values.size()));
-    if (rank >= values.size()) rank = values.size() - 1;
-    double exact = static_cast<double>(values[rank]);
-    double est = static_cast<double>(h.quantile(q));
-    EXPECT_NEAR(est, exact, exact * 0.04) << "q=" << q;  // ~3.2% bucket width
-  }
-}
-
 TEST(LatencyHistogramTest, MergeMatchesSingleHistogramOracle) {
   // Two shards fed disjoint halves of one stream must merge into exactly
   // the histogram the combined stream produces — the fixed-boundary
   // contract bench_load's replica fan-in depends on.
-  LatencyHistogram a, b, oracle;
+  Histogram a, b, oracle;
   util::Rng rng(99);
   for (int i = 0; i < 4000; ++i) {
     std::uint64_t v = rng.next() >> rng.next_below(60);
@@ -127,7 +59,7 @@ TEST(LatencyHistogramTest, MergeMatchesSingleHistogramOracle) {
 }
 
 TEST(LatencyHistogramTest, SelfMergeDoubles) {
-  LatencyHistogram h;
+  Histogram h;
   for (std::uint64_t v : {10u, 20u, 30u}) h.record(v);
   h.merge(h);
   EXPECT_EQ(h.count(), 6u);
@@ -137,7 +69,7 @@ TEST(LatencyHistogramTest, SelfMergeDoubles) {
 }
 
 TEST(LatencyHistogramTest, MergeEmptyIsNoOp) {
-  LatencyHistogram h, empty;
+  Histogram h, empty;
   h.record(77);
   h.merge(empty);
   EXPECT_EQ(h.count(), 1u);
@@ -145,23 +77,6 @@ TEST(LatencyHistogramTest, MergeEmptyIsNoOp) {
   empty.merge(h);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_EQ(empty.min(), 77u);
-}
-
-TEST(LatencyHistogramTest, CountAboveThreshold) {
-  LatencyHistogram h;
-  for (std::uint64_t v : {10u, 20u, 40u, 50000u, 60000u}) h.record(v);
-  EXPECT_EQ(h.count_above(40), 2u);   // exact below kSubBuckets
-  EXPECT_EQ(h.count_above(100000), 0u);
-  EXPECT_EQ(h.count_above(0), 5u);
-}
-
-TEST(LatencyHistogramTest, ResetClears) {
-  LatencyHistogram h;
-  h.record(123);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_TRUE(h.nonzero_buckets().empty());
 }
 
 TEST(SloTrackerTest, VerdictAgainstTargets) {
@@ -286,7 +201,7 @@ TEST(SloTrackerHammerTest, ParallelRecordingLosesNothing) {
   EXPECT_EQ(fast.histogram().count(), kTasks * kPerTask);
 
   // Concurrent merges into a fan-in histogram while recording continues.
-  LatencyHistogram fanin;
+  Histogram fanin;
   pool.run(kTasks, [&](std::size_t i) {
     if (i % 2 == 0) {
       fanin.merge(tracker.endpoint("hammer.slow").histogram());

@@ -202,6 +202,37 @@ TEST_F(ReconRelayTest, PartitionParksLinkAndReconnectResyncs) {
   EXPECT_EQ(alice.recon_pending(bob.id()), 0u);
 }
 
+TEST_F(ReconRelayTest, CapEvictedTxIsNeverAnnounced) {
+  // A transaction the size cap evicts leaves every reconciliation set with
+  // it. The cap evicts by the id it reads from the fee index, whose entry the
+  // eviction erases; under ASan this case caught that id being read after
+  // the erase.
+  NodeOptions capped = recon_options();
+  capped.mempool_max_txs = 2;
+  auto& alice = add_node(capped);
+  auto& bob = add_node();
+  net_.connect(alice.id(), bob.id());
+  sim_.run();
+
+  auto o1 = fund(alice);
+  auto o2 = fund(alice);
+  auto o3 = fund(alice);
+  sim_.run();
+  auto low = spend(o1, 50 * bitcoin::kCoin - 100'000);
+  auto mid = spend(o2, 50 * bitcoin::kCoin - 200'000);
+  auto high = spend(o3, 50 * bitcoin::kCoin - 300'000);
+  ASSERT_TRUE(alice.submit_tx(low));
+  ASSERT_TRUE(alice.submit_tx(mid));
+  ASSERT_TRUE(alice.submit_tx(high));  // evicts `low`
+  EXPECT_FALSE(alice.in_mempool(low.txid()));
+  EXPECT_EQ(alice.recon_pending(bob.id()), 2u);
+  sim_.run();
+
+  EXPECT_TRUE(bob.in_mempool(mid.txid()));
+  EXPECT_TRUE(bob.in_mempool(high.txid()));
+  EXPECT_FALSE(bob.in_mempool(low.txid()));
+}
+
 TEST_F(ReconRelayTest, RelayAndMempoolMetricNamesArePinned) {
   // The exporter names are an interface: examples/fork_monitor and the bench
   // harness key on them, so renames must be deliberate.
