@@ -378,9 +378,9 @@ void BitcoinAdapter::handle_block(const MsgBlock& msg) {
   store_block(msg.block);
 }
 
-void BitcoinAdapter::store_block(const bitcoin::Block& block) {
+void BitcoinAdapter::store_block(bitcoin::Block block) {
   Hash256 hash = block.hash();
-  blocks_.emplace(hash, block);
+  blocks_.emplace(hash, std::make_shared<const bitcoin::Block>(std::move(block)));
   pending_blocks_.erase(hash);
   pending_compact_.erase(hash);
   if (metrics_.blocks_received != nullptr) {
@@ -443,7 +443,7 @@ void BitcoinAdapter::handle_cmpct_block(NodeId from, const btcnet::MsgCmpctBlock
     if (block && block->is_well_formed()) {
       span.attr("outcome", "reconstructed");
       if (metrics_.cmpct_reconstructed != nullptr) metrics_.cmpct_reconstructed->inc();
-      store_block(*block);
+      store_block(std::move(*block));
     } else {
       span.attr("outcome", "fallback_full");
       fetch_full_block(hash, from);
@@ -470,7 +470,7 @@ void BitcoinAdapter::handle_block_txn(NodeId from, const btcnet::MsgBlockTxn& ms
   auto block = reconcile::CompactBlockCodec::assemble(it->second.compact, it->second.decode);
   if (block && block->is_well_formed()) {
     if (metrics_.cmpct_reconstructed != nullptr) metrics_.cmpct_reconstructed->inc();
-    store_block(*block);
+    store_block(std::move(*block));
     return;
   }
   fetch_full_block(msg.block_hash, from);
@@ -613,7 +613,7 @@ AdapterResponse BitcoinAdapter::handle_request(const AdapterRequest& request) {
       } else if (total_bytes < config_.max_response_bytes &&
                  response.blocks.size() < max_blocks) {
         // MAX_SIZE is a soft limit: an oversized block is still added.
-        total_bytes += block_it->second.size();
+        total_bytes += block_it->second->size();
         response.blocks.emplace_back(block_it->second, entry->header);
         in_b.insert(cur);
       }

@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -76,11 +77,25 @@ struct AdapterRequest {
   std::vector<util::Bytes> transactions;  // raw serialized txs (T)
 };
 
+/// One block of a response with its header. The block is immutable and
+/// shared, never copied: the adapter's store, the response and the
+/// canister's unstable window hold the same object, which is freed when the
+/// last of them lets go (the canister, once the anchor passes the block).
+struct ResponseBlock {
+  ResponseBlock(bitcoin::Block block, const bitcoin::BlockHeader& header)
+      : block(std::make_shared<const bitcoin::Block>(std::move(block))), header(header) {}
+  ResponseBlock(std::shared_ptr<const bitcoin::Block> block, const bitcoin::BlockHeader& header)
+      : block(std::move(block)), header(header) {}
+
+  std::shared_ptr<const bitcoin::Block> block;
+  bitcoin::BlockHeader header;
+};
+
 /// The adapter's response: blocks B (with their headers) extending the
 /// canister's tree, and upcoming headers N the canister lacks blocks for.
 struct AdapterResponse {
-  std::vector<std::pair<bitcoin::Block, bitcoin::BlockHeader>> blocks;  // B
-  std::vector<bitcoin::BlockHeader> next_headers;                       // N
+  std::vector<ResponseBlock> blocks;               // B
+  std::vector<bitcoin::BlockHeader> next_headers;  // N
 };
 
 class BitcoinAdapter : public btcnet::Endpoint {
@@ -156,7 +171,7 @@ class BitcoinAdapter : public btcnet::Endpoint {
                                btcnet::MsgGetData& request);
   reconcile::ReconSet& recon_set(btcnet::NodeId peer);
   /// Stores a fully validated block and clears its pending-request entry.
-  void store_block(const bitcoin::Block& block);
+  void store_block(bitcoin::Block block);
   /// Re-requests `hash` as a full block after compact reconstruction failed.
   void fetch_full_block(const util::Hash256& hash, btcnet::NodeId peer);
   void request_block(const util::Hash256& hash);
@@ -182,8 +197,10 @@ class BitcoinAdapter : public btcnet::Endpoint {
   std::unordered_set<btcnet::NodeId> connections_;
 
   // Header tree B_a (all valid headers, forks included) and block store B_a.
+  // A served block is shared with the response until the canister lists it
+  // as processed.
   chain::HeaderTree tree_;
-  std::unordered_map<util::Hash256, bitcoin::Block> blocks_;
+  std::unordered_map<util::Hash256, std::shared_ptr<const bitcoin::Block>> blocks_;
 
   struct PendingBlock {
     util::SimTime last_request = -1;

@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "crypto/sha256.h"
 
 namespace icbtc::bitcoin {
+
+namespace {
+/// Transactions per txid-hashing task at parse. A mainnet-shaped block
+/// (~1,100 transactions) makes about a dozen tasks: enough to keep every
+/// worker busy, few enough that each task outweighs its dispatch.
+constexpr std::size_t kTxidChunk = 96;
+}  // namespace
 
 void BlockHeader::serialize(util::ByteWriter& w) const {
   w.i32le(version);
@@ -53,7 +61,26 @@ Block Block::deserialize(util::ByteReader& r) {
   b.header = BlockHeader::deserialize(r);
   std::size_t n = r.checked_len(r.varint());
   b.transactions.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) b.transactions.push_back(Transaction::deserialize(r));
+  std::vector<ByteSpan> wire;
+  wire.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t start = r.position();
+    b.transactions.push_back(Transaction::read_fields(r));
+    wire.push_back(r.window(start));
+  }
+  if (!Transaction::txid_cache_enabled()) return b;
+  // Each txid is sha256d of the transaction's wire bytes, exactly as
+  // Transaction::deserialize hashes them; a pure function of those bytes, so
+  // any thread may compute it. The owning pool reference outlives the
+  // fan-out (see thread_pool.h).
+  Transaction::count_txid_computations(n);
+  std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
+  parallel::parallel_for(pool.get(), (n + kTxidChunk - 1) / kTxidChunk, [&](std::size_t chunk) {
+    std::size_t end = std::min(n, (chunk + 1) * kTxidChunk);
+    for (std::size_t i = chunk * kTxidChunk; i < end; ++i) {
+      b.transactions[i].seed_txid(crypto::sha256d(wire[i]));
+    }
+  });
   return b;
 }
 
@@ -68,6 +95,12 @@ Block Block::parse(ByteSpan data) {
   Block b = deserialize(r);
   if (!r.done()) throw util::DecodeError("trailing bytes after block");
   return b;
+}
+
+std::size_t Block::size() const {
+  std::size_t n = 80 + util::varint_size(transactions.size());
+  for (const auto& tx : transactions) n += tx.size();
+  return n;
 }
 
 bool Block::txids_cached() const {

@@ -38,12 +38,18 @@ struct Block {
   bool operator==(const Block&) const = default;
 
   void serialize(util::ByteWriter& w) const;
+  /// Parses every transaction, then — with the txid cache on — hashes each
+  /// one's exact wire bytes into its txid cache, in fixed chunks of
+  /// transactions on the shared pool (serially when none is installed).
+  /// Must not run inside a shared-pool task: ThreadPool::run is not
+  /// reentrant.
   static Block deserialize(util::ByteReader& r);
   Bytes serialize() const;
   static Block parse(ByteSpan data);
 
   Hash256 hash() const { return header.hash(); }
-  std::size_t size() const { return serialize().size(); }
+  /// Serialized size in bytes, counted from the fields without serializing.
+  std::size_t size() const;
 
   /// True when every transaction's txid is memoized (deserialize() seeds
   /// them), so a txid fan-out would only read caches.

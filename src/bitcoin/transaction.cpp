@@ -65,8 +65,7 @@ Bytes Transaction::serialize() const {
   return std::move(w).take();
 }
 
-Transaction Transaction::deserialize(util::ByteReader& r) {
-  std::size_t start = r.position();
+Transaction Transaction::read_fields(util::ByteReader& r) {
   Transaction tx;
   tx.version = r.i32le();
   std::size_t n_in = r.checked_len(r.varint());
@@ -76,6 +75,12 @@ Transaction Transaction::deserialize(util::ByteReader& r) {
   tx.outputs.reserve(n_out);
   for (std::size_t i = 0; i < n_out; ++i) tx.outputs.push_back(TxOut::deserialize(r));
   tx.lock_time = r.u32le();
+  return tx;
+}
+
+Transaction Transaction::deserialize(util::ByteReader& r) {
+  std::size_t start = r.position();
+  Transaction tx = read_fields(r);
   if (g_txid_cache_enabled.load(std::memory_order_relaxed)) {
     // Hash the exact wire bytes just consumed — the txid comes for free at
     // parse time, with no reserialization.
@@ -160,6 +165,10 @@ Hash256 Transaction::txid() const {
   return h;
 }
 
+void Transaction::count_txid_computations(std::uint64_t n) {
+  g_txid_computations.fetch_add(n, std::memory_order_relaxed);
+}
+
 std::uint64_t Transaction::txid_computations() {
   return g_txid_computations.load(std::memory_order_relaxed);
 }
@@ -170,6 +179,20 @@ void Transaction::set_txid_cache_enabled(bool enabled) {
 
 bool Transaction::txid_cache_enabled() {
   return g_txid_cache_enabled.load(std::memory_order_relaxed);
+}
+
+std::size_t Transaction::size() const {
+  // version, the two counts, lock_time, and per input an outpoint, a
+  // length-prefixed script and a sequence; per output a value and a
+  // length-prefixed script.
+  std::size_t n = 4 + util::varint_size(inputs.size()) + util::varint_size(outputs.size()) + 4;
+  for (const auto& in : inputs) {
+    n += 36 + util::varint_size(in.script_sig.size()) + in.script_sig.size() + 4;
+  }
+  for (const auto& out : outputs) {
+    n += 8 + util::varint_size(out.script_pubkey.size()) + out.script_pubkey.size();
+  }
+  return n;
 }
 
 bool Transaction::is_well_formed() const {

@@ -113,8 +113,8 @@ struct Transaction {
     return sum;
   }
 
-  /// Serialized size in bytes.
-  std::size_t size() const { return serialize().size(); }
+  /// Serialized size in bytes, counted from the fields without serializing.
+  std::size_t size() const;
 
   /// Basic syntactic checks mirroring what the Bitcoin canister's
   /// send_transaction endpoint performs: non-empty inputs/outputs, values in
@@ -122,10 +122,18 @@ struct Transaction {
   bool is_well_formed() const;
 
  private:
+  // Block::deserialize parses a block's transactions with read_fields and
+  // then hashes their wire bytes itself, spread over the shared pool.
+  friend struct Block;
+
   static constexpr std::uint8_t kTxidEmpty = 0;
   static constexpr std::uint8_t kTxidFilling = 1;
   static constexpr std::uint8_t kTxidReady = 2;
 
+  /// Parses the four serialized fields; computes no txid.
+  static Transaction read_fields(util::ByteReader& r);
+  /// Adds `n` to the txid_computations() count.
+  static void count_txid_computations(std::uint64_t n);
   void adopt_cache(const Transaction& other);
   void seed_txid(const Hash256& h) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 
 #include "bitcoin/script.h"
@@ -173,7 +174,7 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     obs::TraceTaskGroup group(tracer_, "canister.precompute_txids", "parallel",
                               response.blocks.size());
     parallel::parallel_for(pool.get(), response.blocks.size(), [&](std::size_t i) {
-      const Block& block = response.blocks[i].first;
+      const Block& block = *response.blocks[i].block;
       for (const auto& tx : block.transactions) (void)tx.txid();
       group.record(i, {{"txs", static_cast<std::uint64_t>(block.transactions.size())}});
     });
@@ -188,7 +189,9 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     // transactions themselves are NOT validated (§III-C: the canister relies
     // on the proof of work and the Bitcoin network's vetting). Checked
     // before the header is appended: β only enters T if both are valid.
-    if (block.hash() != header.hash() || !block.is_well_formed()) continue;
+    if (block == nullptr || block->hash() != header.hash() || !block->is_well_formed()) {
+      continue;
+    }
     // is_valid(β, T): same header checks the adapter performs, as a valid
     // extension of T.
     auto accept = tree_.accept(header, now_s);
@@ -200,7 +203,7 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     unstable_blocks_.emplace(header.hash(), block);
     const chain::HeaderTree::Entry* entry = tree_.find(header.hash());
     max_available_height_ = std::max(max_available_height_, entry->height);
-    unstable_index_.add_block(header.hash(), block, entry->height, pool.get());
+    unstable_index_.add_block(header.hash(), *block, entry->height, pool.get());
     ++result.blocks_stored;
     result.anchors_advanced += advance_anchor();
   }
@@ -374,7 +377,7 @@ BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::By
     auto block_it = unstable_blocks_.find(chain[i]);
     if (block_it == unstable_blocks_.end()) break;  // cannot see past a gap
     meter_.charge(config_.costs.unstable_block_scan);
-    for (const auto& tx : block_it->second.transactions) {
+    for (const auto& tx : block_it->second->transactions) {
       if (!tx.is_coinbase()) {
         for (const auto& in : tx.inputs) view.scanned_spends.insert(in.prevout);
       }
@@ -535,25 +538,34 @@ Status BitcoinCanister::send_transaction(const util::Bytes& raw_transaction) {
 Outcome<std::vector<std::uint64_t>> BitcoinCanister::get_current_fee_percentiles() {
   EndpointCall call(*this, "get_current_fee_percentiles", metrics_.fee_percentiles);
   if (!sync_gate()) return {Status::kNotSynced, {}};
-  // Scan the unstable suffix of the current chain. Outputs created earlier
-  // in the window (or in the stable set) resolve input values; transactions
-  // with unresolvable inputs are skipped, as in the production canister.
+  // Scan the last fee_window_blocks blocks of the current chain. Outputs
+  // created anywhere in the unstable chain (or in the stable set) resolve
+  // input values; transactions with unresolvable inputs are skipped, as in
+  // the production canister.
   const std::vector<util::Hash256>& chain = tree_.current_chain();
   std::size_t first =
       chain.size() > static_cast<std::size_t>(config_.fee_window_blocks)
           ? chain.size() - static_cast<std::size_t>(config_.fee_window_blocks)
           : 1;  // skip the anchor itself (its block is discarded)
-  std::unordered_map<bitcoin::OutPoint, bitcoin::Amount> window_outputs;
-  // Pre-scan the entire unstable chain so spends of younger-but-out-of-window
-  // outputs still resolve.
-  for (std::size_t i = 1; i < chain.size(); ++i) {
+  // Only the window's prevouts are ever looked up: collect them, then take
+  // their values from the unstable blocks' delta outputs in chain order (a
+  // later write wins), so spends of younger-but-out-of-window outputs still
+  // resolve.
+  std::unordered_map<bitcoin::OutPoint, std::optional<bitcoin::Amount>> unstable_values;
+  for (std::size_t i = first; i < chain.size(); ++i) {
     auto it = unstable_blocks_.find(chain[i]);
     if (it == unstable_blocks_.end()) continue;
-    for (const auto& tx : it->second.transactions) {
-      util::Hash256 txid = tx.txid();
-      for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
-        window_outputs[bitcoin::OutPoint{txid, v}] = tx.outputs[v].value;
-      }
+    for (const auto& tx : it->second->transactions) {
+      if (tx.is_coinbase()) continue;
+      for (const auto& in : tx.inputs) unstable_values.try_emplace(in.prevout);
+    }
+  }
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    const BlockDelta* delta = unstable_index_.delta(chain[i]);
+    if (delta == nullptr) continue;
+    for (const auto& out : delta->outputs) {
+      auto w = unstable_values.find(out.outpoint);
+      if (w != unstable_values.end()) w->second = out.value;
     }
   }
 
@@ -562,13 +574,13 @@ Outcome<std::vector<std::uint64_t>> BitcoinCanister::get_current_fee_percentiles
     auto it = unstable_blocks_.find(chain[i]);
     if (it == unstable_blocks_.end()) continue;
     meter_.charge(config_.costs.unstable_block_scan);
-    for (const auto& tx : it->second.transactions) {
+    for (const auto& tx : it->second->transactions) {
       if (tx.is_coinbase()) continue;
       bitcoin::Amount in_value = 0;
       bool resolved = true;
       for (const auto& in : tx.inputs) {
-        if (auto w = window_outputs.find(in.prevout); w != window_outputs.end()) {
-          in_value += w->second;
+        if (auto w = unstable_values.find(in.prevout); w != unstable_values.end() && w->second) {
+          in_value += *w->second;
         } else if (auto stable = stable_utxos_.find(in.prevout)) {
           in_value += stable->value;
         } else {
@@ -666,7 +678,7 @@ util::Bytes BitcoinCanister::write_checkpoint() const {
     for (const auto& [hash, block] : unstable_blocks_) hashes.push_back(hash);
     std::sort(hashes.begin(), hashes.end());
     w.varint(hashes.size());
-    for (const auto& hash : hashes) w.var_bytes(unstable_blocks_.at(hash).serialize());
+    for (const auto& hash : hashes) w.var_bytes(unstable_blocks_.at(hash)->serialize());
   }
   {
     util::ByteWriter& w = cw.begin_section(kSecStableHeaders);
@@ -742,7 +754,8 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
         std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
         canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
                                            pool.get());
-        canister.unstable_blocks_.emplace(hash, std::move(block));
+        canister.unstable_blocks_.emplace(hash,
+                                          std::make_shared<const Block>(std::move(block)));
       }
       if (!r.done()) throw util::DecodeError("blocks trailing bytes");
       canister.recompute_max_available_height();
@@ -804,7 +817,7 @@ BitcoinCanister BitcoinCanister::restore(const bitcoin::ChainParams& params,
 
 std::uint64_t BitcoinCanister::memory_bytes() const {
   std::uint64_t unstable = 0;
-  for (const auto& [hash, block] : unstable_blocks_) unstable += block.size();
+  for (const auto& [hash, block] : unstable_blocks_) unstable += block->size();
   return stable_utxos_.memory_bytes() + unstable + 81 * (stable_headers_.size() + tree_.size());
 }
 

@@ -347,7 +347,10 @@ class BitcoinCanister {
 
   UtxoIndex stable_utxos_;
   chain::HeaderTree tree_;  // rooted at the anchor
-  std::unordered_map<util::Hash256, bitcoin::Block> unstable_blocks_;
+  /// The unstable window's blocks, shared with the adapter response that
+  /// delivered them (never copied); each is released when the anchor passes
+  /// it or its fork is pruned.
+  std::unordered_map<util::Hash256, std::shared_ptr<const bitcoin::Block>> unstable_blocks_;
   UnstableIndex unstable_index_;  // per-block deltas over unstable_blocks_
   /// Max height among available (stored) blocks and the anchor, maintained
   /// incrementally so is_synced() is O(1) instead of a per-call scan.

@@ -18,6 +18,11 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Bytes ByteWriter::varint(v) writes: 1, 3, 5 or 9.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return v < 0xfd ? 1 : v <= 0xffff ? 3 : v <= 0xffffffffULL ? 5 : 9;
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;

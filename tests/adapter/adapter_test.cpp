@@ -123,7 +123,7 @@ class Algorithm1Test : public AdapterTest {
       auto response = adapter_->handle_request(request);
       for (auto& [block, header] : response.blocks) {
         request.processed.push_back(header.hash());
-        received.push_back(block);
+        received.push_back(*block);
       }
       if (response.blocks.empty()) {
         // Allow time for background block downloads triggered by the request.
@@ -132,7 +132,7 @@ class Algorithm1Test : public AdapterTest {
         if (retry.blocks.empty() && retry.next_headers.empty()) break;
         for (auto& [block, header] : retry.blocks) {
           request.processed.push_back(header.hash());
-          received.push_back(block);
+          received.push_back(*block);
         }
       }
       sim_.run_until(sim_.now() + 5 * util::kSecond);
@@ -228,7 +228,7 @@ TEST_F(Algorithm1Test, ResponseSizeCapRespected) {
   auto response = small.handle_request(request);
   // The soft cap admits the block that crosses the limit but nothing after.
   std::size_t bytes = 0;
-  for (auto& [block, header] : response.blocks) bytes += block.size();
+  for (auto& [block, header] : response.blocks) bytes += block->size();
   EXPECT_LT(response.blocks.size(), 6u);
   EXPECT_GT(response.blocks.size(), 0u);
   EXPECT_LT(bytes, 1000u);
@@ -404,7 +404,34 @@ TEST_F(Algorithm1Test, SoftCapStillServesOversizedBlock) {
   // MAX_SIZE is a soft limit: the block that crosses it is still served,
   // but nothing after it.
   ASSERT_EQ(response.blocks.size(), 1u);
-  EXPECT_GT(response.blocks[0].first.size(), adapter_config_.max_response_bytes);
+  EXPECT_GT(response.blocks[0].block->size(), adapter_config_.max_response_bytes);
+}
+
+// A served block is the adapter's stored object, shared with each response
+// that carries it until the canister lists it as processed.
+class AdapterBlockSharingTest : public Algorithm1Test {};
+
+TEST_F(AdapterBlockSharingTest, ServedBlockSharesStoreUntilProcessed) {
+  mine(3);
+  AdapterRequest request;
+  request.anchor = params_.genesis_header.hash();
+  adapter_->handle_request(request);  // triggers the block downloads
+  sim_.run_until(sim_.now() + 30 * util::kSecond);
+  auto response = adapter_->handle_request(request);
+  auto again = adapter_->handle_request(request);
+  ASSERT_FALSE(response.blocks.empty());
+  ASSERT_EQ(again.blocks.size(), response.blocks.size());
+  for (std::size_t i = 0; i < response.blocks.size(); ++i) {
+    EXPECT_TRUE(adapter_->has_block(response.blocks[i].header.hash()));
+    EXPECT_EQ(again.blocks[i].block, response.blocks[i].block);  // one object
+    EXPECT_EQ(response.blocks[i].block.use_count(), 3);  // the store and two responses
+    request.processed.push_back(response.blocks[i].header.hash());
+  }
+  adapter_->handle_request(request);  // acknowledges them: the store lets go
+  for (const auto& served : response.blocks) {
+    EXPECT_FALSE(adapter_->has_block(served.header.hash()));
+    EXPECT_EQ(served.block.use_count(), 2);  // the two responses
+  }
 }
 
 TEST_F(Algorithm1Test, MultiBlockBoundaryIsExclusive) {
@@ -465,7 +492,7 @@ class CompactFetchTest : public AdapterTest {
       auto response = adapter_->handle_request(request);
       for (auto& [block, header] : response.blocks) {
         request.processed.push_back(header.hash());
-        received.push_back(block);
+        received.push_back(*block);
       }
       if (response.blocks.empty()) {
         sim_.run_until(sim_.now() + 10 * util::kSecond);
@@ -473,7 +500,7 @@ class CompactFetchTest : public AdapterTest {
         if (retry.blocks.empty() && retry.next_headers.empty()) break;
         for (auto& [block, header] : retry.blocks) {
           request.processed.push_back(header.hash());
-          received.push_back(block);
+          received.push_back(*block);
         }
       }
       sim_.run_until(sim_.now() + 5 * util::kSecond);

@@ -148,6 +148,22 @@ TEST(BlockTest, RoundTrip) {
   EXPECT_EQ(parsed.hash(), b.hash());
 }
 
+TEST(BlockTest, SizeMatchesSerialization) {
+  // The coinbase-only genesis block, then 252 and 253 transactions (the
+  // CompactSize width of the count changes between them).
+  Block b = make_test_block();
+  EXPECT_TRUE(b.transactions[0].is_coinbase());
+  EXPECT_EQ(b.transactions[0].size(), b.transactions[0].serialize().size());
+  EXPECT_EQ(b.size(), b.serialize().size());
+  Transaction tx;
+  tx.inputs.push_back(TxIn{OutPoint{b.transactions[0].txid(), 0}, {}, 0xffffffff});
+  tx.outputs.push_back(TxOut{1, {0x51}});
+  b.transactions.resize(252, tx);
+  EXPECT_EQ(b.size(), b.serialize().size());
+  b.transactions.push_back(tx);
+  EXPECT_EQ(b.size(), b.serialize().size());
+}
+
 TEST(BlockTest, WellFormedRejectsEmptyBlock) {
   Block b;
   EXPECT_FALSE(b.is_well_formed());

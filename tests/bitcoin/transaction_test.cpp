@@ -211,6 +211,26 @@ TEST(TransactionTest, TotalOutputValue) {
   EXPECT_EQ(tx.total_output_value(), 2 * kCoin + 3);
 }
 
+TEST(TransactionTest, SizeMatchesSerializationAcrossVarintBoundaries) {
+  // size() counts the wire bytes without serializing: every count and
+  // script length here crosses a CompactSize width (252/253, 65535/65536),
+  // and empty scripts take a one-byte prefix.
+  for (std::size_t script_len : {0u, 1u, 252u, 253u, 65535u, 65536u}) {
+    Transaction tx = sample_tx();
+    tx.inputs[0].script_sig = Bytes(script_len, 0x51);
+    tx.outputs[0].script_pubkey = Bytes(script_len, 0x6a);
+    EXPECT_EQ(tx.size(), tx.serialize().size()) << "script length " << script_len;
+  }
+  for (std::size_t count : {252u, 253u, 65535u, 65536u}) {
+    Transaction tx = sample_tx();
+    tx.inputs.resize(count, tx.inputs[0]);
+    tx.outputs.resize(count, TxOut{1, {}});
+    EXPECT_EQ(tx.size(), tx.serialize().size()) << "count " << count;
+  }
+  Transaction empty;
+  EXPECT_EQ(empty.size(), empty.serialize().size());
+}
+
 TEST(AmountTest, SubsidySchedule) {
   EXPECT_EQ(block_subsidy(0), 50 * kCoin);
   EXPECT_EQ(block_subsidy(1), 25 * kCoin);

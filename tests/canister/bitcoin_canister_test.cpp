@@ -4,6 +4,7 @@
 
 #include "bitcoin/script.h"
 #include "chain/block_builder.h"
+#include "parallel/thread_pool.h"
 
 namespace icbtc::canister {
 namespace {
@@ -531,6 +532,107 @@ TEST_F(CanisterTest, MeterChargesForReads) {
   auto before = canister_.meter().count();
   canister_.get_balance(address(1));
   EXPECT_GT(canister_.meter().count(), before);
+}
+
+// ---------------------------------------------------------------------------
+// One shared block: the unstable window holds the very block the adapter
+// response delivered, never a copy, and lets go of it when the anchor
+// passes it.
+
+class BlockSharingTest : public CanisterTest {};
+
+TEST_F(BlockSharingTest, WindowSharesResponseBlockUntilAnchorPasses) {
+  adapter::AdapterResponse response;
+  for (const auto& b : extend(1, 1)) response.blocks.emplace_back(b, b.header);
+  canister_.process_response(response, now_s());
+  const std::shared_ptr<const Block>& block = response.blocks[0].block;
+  EXPECT_EQ(block.use_count(), 2);  // the response and the unstable window
+  feed(extend(4));
+  EXPECT_EQ(canister_.anchor_height(), 0);
+  EXPECT_EQ(block.use_count(), 2);
+  feed(extend(1));  // six blocks: height 1 is δ-stable
+  ASSERT_EQ(canister_.anchor_height(), 1);
+  EXPECT_EQ(block.use_count(), 1);
+  EXPECT_EQ(canister_.get_balance(address(1)).value, 50 * bitcoin::kCoin);
+}
+
+TEST_F(BlockSharingTest, ScanAndIndexedTwinsShareOneBlockAndAgree) {
+  // One response, parsed from wire bytes with the shared pool installed (a
+  // block of 151 transactions hashes its txids there, and 4-shard apply runs
+  // there), feeds both twins: each keeps the same unstable block objects,
+  // and both serve the same answers.
+  parallel::set_shared_pool(3);
+  CanisterConfig config = CanisterConfig::for_params(params_);
+  config.utxo_shards = 4;
+  config.unstable_query_mode = UnstableQueryMode::kScan;
+  BitcoinCanister scan(params_, config);
+  config.unstable_query_mode = UnstableQueryMode::kIndexed;
+  BitcoinCanister indexed(params_, config);
+
+  auto spend = [](const bitcoin::Transaction& parent, std::uint32_t vout, bitcoin::Amount value,
+                  util::Bytes to) {
+    bitcoin::Transaction tx;
+    tx.inputs.push_back(bitcoin::TxIn{bitcoin::OutPoint{parent.txid(), vout}, {}, 0xffffffff});
+    tx.outputs.push_back(bitcoin::TxOut{value, std::move(to)});
+    return tx;
+  };
+  auto add = [&](std::vector<bitcoin::Transaction> txs) {
+    Block b = make_block(tip_, 99, std::move(txs));
+    tip_ = b.hash();
+    return b;
+  };
+  std::vector<Block> blocks = extend(1, 1);
+  bitcoin::Transaction split;
+  split.inputs.push_back(
+      bitcoin::TxIn{bitcoin::OutPoint{blocks[0].transactions[0].txid(), 0}, {}, 0xffffffff});
+  for (int i = 0; i < 150; ++i) {
+    split.outputs.push_back(
+        bitcoin::TxOut{bitcoin::kCoin / 4, script(static_cast<std::uint8_t>(10 + i % 5))});
+  }
+  blocks.push_back(add({split}));
+  std::vector<bitcoin::Transaction> spends;
+  for (std::uint32_t v = 0; v < 150; ++v) {
+    spends.push_back(spend(split, v, bitcoin::kCoin / 4 - 1000 * (v + 1),
+                           script(static_cast<std::uint8_t>(20 + v % 3))));
+  }
+  blocks.push_back(add(spends));
+  blocks.push_back(
+      add({spend(spends[0], 0, 1000, script(30)), spend(spends[1], 0, 2000, script(30))}));
+  for (const auto& b : extend(3)) blocks.push_back(b);  // seven blocks: anchor at 2
+
+  adapter::AdapterResponse response;
+  for (const auto& b : blocks) {
+    response.blocks.emplace_back(Block::parse(b.serialize()), b.header);
+  }
+  scan.process_response(response, now_s());
+  indexed.process_response(response, now_s());
+  ASSERT_EQ(scan.anchor_height(), 2);
+  ASSERT_EQ(indexed.anchor_height(), 2);
+  for (std::size_t i = 0; i < response.blocks.size(); ++i) {
+    // Heights 1 and 2 are stable and released; the rest sit in both windows.
+    EXPECT_EQ(response.blocks[i].block.use_count(), i < 2 ? 1 : 3) << "height " << i + 1;
+  }
+
+  EXPECT_EQ(scan.utxo_digest(), indexed.utxo_digest());
+  for (std::uint8_t tag : {1, 10, 11, 12, 13, 14, 20, 21, 22, 30, 99}) {
+    SCOPED_TRACE(static_cast<int>(tag));
+    GetUtxosRequest request;
+    request.address = address(tag);
+    auto a = scan.get_utxos(request);
+    auto b = indexed.get_utxos(request);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a.value.utxos, b.value.utxos);
+    EXPECT_EQ(a.value.tip_hash, b.value.tip_hash);
+    EXPECT_EQ(a.value.next_page, b.value.next_page);
+    EXPECT_EQ(scan.get_balance(address(tag)).value, indexed.get_balance(address(tag)).value);
+  }
+  auto scan_fees = scan.get_current_fee_percentiles();
+  ASSERT_TRUE(scan_fees.ok());
+  EXPECT_EQ(scan_fees.value.size(), 101u);
+  EXPECT_EQ(scan_fees.value, indexed.get_current_fee_percentiles().value);
+  EXPECT_EQ(scan.meter().count(), indexed.meter().count());
+  parallel::set_shared_pool(0);
 }
 
 }  // namespace

@@ -162,6 +162,57 @@ TEST_F(CanisterApiTest, FeeWindowLimitsScan) {
   EXPECT_TRUE(outcome.value.empty());
 }
 
+TEST_F(CanisterApiTest, FeeWindowInputResolvesBelowTheWindow) {
+  // The only priced transaction sits in the 1-block window and spends an
+  // output created two blocks earlier: above the anchor, below the window.
+  CanisterConfig config = CanisterConfig::for_params(params_);
+  config.fee_window_blocks = 1;
+  BitcoinCanister narrow(params_, config);
+  auto funding = unpriceable_tx(7);
+  bitcoin::Transaction tx;
+  bitcoin::TxIn in;
+  in.prevout = bitcoin::OutPoint{funding.txid(), 0};
+  tx.inputs.push_back(in);
+  tx.outputs.push_back(bitcoin::TxOut{90000, script(8)});
+  adapter::AdapterResponse response;
+  for (const auto& b : {make_block({funding}), make_block({}), make_block({tx})}) {
+    response.blocks.emplace_back(b, b.header);
+  }
+  narrow.process_response(response, now_s());
+  ASSERT_EQ(narrow.anchor_height(), 0);
+  auto outcome = narrow.get_current_fee_percentiles();
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome.value.size(), 101u);
+  auto rate = static_cast<std::uint64_t>(10000.0 * 1000.0 / static_cast<double>(tx.size()));
+  for (auto p : outcome.value) EXPECT_EQ(p, rate);
+}
+
+TEST_F(CanisterApiTest, FeePercentilesWithDuplicatedOutpoint) {
+  // The funding tx appears in two blocks, so its outpoint is created twice,
+  // and two window transactions in different blocks both spend it: each is
+  // priced against the one output value.
+  auto funding = unpriceable_tx(9);
+  feed({make_block({funding}), make_block({funding})});
+  auto spend = [&](bitcoin::Amount out_value, std::uint8_t tag) {
+    bitcoin::Transaction tx;
+    bitcoin::TxIn in;
+    in.prevout = bitcoin::OutPoint{funding.txid(), 0};
+    tx.inputs.push_back(in);
+    tx.outputs.push_back(bitcoin::TxOut{out_value, script(tag)});
+    return tx;
+  };
+  auto low = spend(90000, 10);   // fee 10000
+  auto high = spend(70000, 11);  // fee 30000
+  feed({make_block({low}), make_block({high})});
+  auto outcome = canister_.get_current_fee_percentiles();
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome.value.size(), 101u);
+  EXPECT_EQ(outcome.value[0],
+            static_cast<std::uint64_t>(10000.0 * 1000.0 / static_cast<double>(low.size())));
+  EXPECT_EQ(outcome.value[100],
+            static_cast<std::uint64_t>(30000.0 * 1000.0 / static_cast<double>(high.size())));
+}
+
 TEST_F(CanisterApiTest, BlockHeadersFullRange) {
   std::vector<Block> blocks;
   for (int i = 0; i < 5; ++i) blocks.push_back(make_block({}));

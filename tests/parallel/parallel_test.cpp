@@ -207,5 +207,48 @@ TEST(ParallelHashingTest, BlockTxidsAndMerkleRootMatchSerial) {
   EXPECT_EQ(reparsed.compute_merkle_root(&pool), serial_root);
 }
 
+TEST(ParallelHashingTest, PooledParseSeedsEveryTxidOnce) {
+  // Block::deserialize hashes the txids in chunks on the shared pool. A
+  // block of 1,200 transactions of mixed sizes parses to the same txids and
+  // merkle root without a pool, on 1 worker and on 3, hashing each
+  // transaction exactly once; with the txid cache off it hashes none.
+  bitcoin::Block block = bitcoin::genesis_block(bitcoin::ChainParams::regtest());
+  for (std::uint32_t i = 0; i < 1200; ++i) {
+    bitcoin::Transaction tx;
+    for (std::uint32_t in = 0; in <= i % 3; ++in) {
+      tx.inputs.push_back(bitcoin::TxIn{bitcoin::OutPoint{block.transactions.back().txid(), in},
+                                        util::Bytes(i % 7 == 0 ? 300 : 20 + i % 90, 0x51),
+                                        0xffffffff});
+    }
+    for (std::uint32_t out = 0; out <= i % 5; ++out) {
+      tx.outputs.push_back(bitcoin::TxOut{1000 + i, util::Bytes(i % 11 == 0 ? 0 : 25, 0x6a)});
+    }
+    block.transactions.push_back(tx);
+  }
+  block.header.merkle_root = block.compute_merkle_root(nullptr);
+  const std::vector<util::Hash256> expected = block.txids(nullptr);
+  const util::Bytes bytes = block.serialize();
+
+  for (std::size_t workers : {0u, 1u, 3u}) {
+    SCOPED_TRACE(workers);
+    set_shared_pool(workers);
+    auto before = bitcoin::Transaction::txid_computations();
+    bitcoin::Block parsed = bitcoin::Block::parse(bytes);
+    EXPECT_EQ(bitcoin::Transaction::txid_computations() - before, block.transactions.size());
+    EXPECT_TRUE(parsed.txids_cached());
+    EXPECT_EQ(parsed.txids(nullptr), expected);
+    EXPECT_EQ(parsed.compute_merkle_root(nullptr), block.header.merkle_root);
+    EXPECT_EQ(bitcoin::Transaction::txid_computations() - before, block.transactions.size());
+
+    bitcoin::Transaction::set_txid_cache_enabled(false);
+    before = bitcoin::Transaction::txid_computations();
+    bitcoin::Block uncached = bitcoin::Block::parse(bytes);
+    EXPECT_EQ(bitcoin::Transaction::txid_computations(), before);
+    for (const auto& tx : uncached.transactions) EXPECT_FALSE(tx.txid_cached());
+    bitcoin::Transaction::set_txid_cache_enabled(true);
+  }
+  set_shared_pool(0);
+}
+
 }  // namespace
 }  // namespace icbtc::parallel

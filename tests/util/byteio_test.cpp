@@ -56,6 +56,7 @@ TEST_P(VarintTest, RoundTripsWithCanonicalEncoding) {
   ByteWriter w;
   w.varint(p.value);
   EXPECT_EQ(to_hex(w.data()), p.hex);
+  EXPECT_EQ(varint_size(p.value), w.size());
   ByteReader r(w.data());
   EXPECT_EQ(r.varint(), p.value);
   EXPECT_TRUE(r.done());
