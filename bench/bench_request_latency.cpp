@@ -30,6 +30,7 @@
 #include "ic/subnet.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "oracles/scan_reads.h"
 #include "workload.h"
 
 namespace {
@@ -326,10 +327,12 @@ bool write_bench_json(const Figure7Result& r) {
 // The delta index (src/canister/unstable_index.h) replaces the per-request
 // unstable-chain scan with chain-ordered delta lookups. The contract: host
 // wall-clock drops, responses and metered instruction counts are identical.
-// This section replays one deep-unstable workload (δ-deep unstable chain,
-// mainnet shape: 144 blocks) into a scan-mode and an indexed-mode canister,
-// digests every response and meter sample, fails on any divergence, and
-// writes BENCH_requests.json with the scan baseline column retained.
+// This section ingests one deep-unstable workload (δ-deep unstable chain,
+// mainnet shape: 144 blocks) into one canister, reads every address through
+// the canister (indexed) and through the scan oracle on that canister
+// (src/oracles/scan_reads.h), digests every response and meter sample,
+// fails on any divergence, and writes BENCH_requests.json with the scan
+// baseline column retained.
 
 std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
@@ -343,7 +346,7 @@ std::uint64_t now_us() {
 }
 
 struct ModesWorkload {
-  std::vector<adapter::AdapterResponse> responses;  // identical bytes for both modes
+  std::vector<adapter::AdapterResponse> responses;
   std::vector<std::string> addresses;
   std::int64_t now_s = 0;
   std::size_t unstable_blocks = 0;
@@ -449,29 +452,20 @@ struct ModeRun {
   std::uint64_t delta_builds = 0, resident_bytes = 0;
 };
 
-ModeRun run_mode(const ModesWorkload& w, canister::UnstableQueryMode mode) {
-  const auto& params = bitcoin::ChainParams::regtest();
-  auto config = canister::CanisterConfig::for_params(params);
-  config.stability_delta = w.stability_delta;
-  config.unstable_query_mode = mode;
-  canister::BitcoinCanister canister(params, config);
-  obs::MetricsRegistry registry;
-  canister.set_metrics(&registry);
-  canister.set_delta_build_clock(now_us);
-
-  ModeRun run;
-  std::uint64_t t0 = now_us();
-  for (const auto& response : w.responses) canister.process_response(response, w.now_s);
-  run.ingest_us = static_cast<double>(now_us() - t0);
-
+/// Times one read path over every address: get_utxos (every page), again
+/// hot, then get_balance twice. Digests each response with the instructions
+/// it charged to `meter`.
+template <typename GetUtxos, typename GetBalance>
+void time_reads(const ModesWorkload& w, const ic::InstructionMeter& meter, GetUtxos get_utxos,
+                GetBalance get_balance, ModeRun& run) {
   auto probe_utxos = [&](double& bucket) {
     std::uint64_t start = now_us();
     for (const auto& addr : w.addresses) {
       canister::GetUtxosRequest request;
       request.address = addr;
       for (;;) {
-        ic::InstructionMeter::Segment segment(canister.meter());
-        auto outcome = canister.get_utxos(request);
+        ic::InstructionMeter::Segment segment(meter);
+        auto outcome = get_utxos(request);
         std::uint64_t digest = mix64(0, static_cast<std::uint64_t>(outcome.status));
         digest = mix64(digest, segment.sample());
         if (outcome.ok()) {
@@ -493,8 +487,8 @@ ModeRun run_mode(const ModesWorkload& w, canister::UnstableQueryMode mode) {
   auto probe_balance = [&](double& bucket) {
     std::uint64_t start = now_us();
     for (const auto& addr : w.addresses) {
-      ic::InstructionMeter::Segment segment(canister.meter());
-      auto outcome = canister.get_balance(addr);
+      ic::InstructionMeter::Segment segment(meter);
+      auto outcome = get_balance(addr);
       std::uint64_t digest = mix64(0, static_cast<std::uint64_t>(outcome.status));
       digest = mix64(digest, segment.sample());
       digest = mix64(digest, static_cast<std::uint64_t>(outcome.value));
@@ -504,14 +498,10 @@ ModeRun run_mode(const ModesWorkload& w, canister::UnstableQueryMode mode) {
   };
 
   probe_utxos(run.utxos_us);
-  probe_utxos(run.utxos_hot_us);  // indexed mode: the index is already synced
+  probe_utxos(run.utxos_hot_us);  // indexed path: the index is already synced
   probe_balance(run.balance_us);
   probe_balance(run.balance_hot_us);
-
-  run.meter_total = canister.meter().count();
-  run.delta_builds = registry.counter("canister.delta.builds").value();
-  run.resident_bytes = canister.unstable_index().resident_bytes();
-  return run;
+  run.meter_total = meter.count();
 }
 
 struct RequestModesResult {
@@ -530,8 +520,36 @@ RequestModesResult run_request_modes() {
   std::printf("workload: %zu addresses, %zu unstable blocks, %zu outputs%s\n", w.addresses.size(),
               w.unstable_blocks, w.total_outputs, quick ? " (quick mode)" : "");
 
-  r.scan = run_mode(w, canister::UnstableQueryMode::kScan);
-  r.indexed = run_mode(w, canister::UnstableQueryMode::kIndexed);
+  const auto& params = bitcoin::ChainParams::regtest();
+  auto config = canister::CanisterConfig::for_params(params);
+  config.stability_delta = w.stability_delta;
+  canister::BitcoinCanister canister(params, config);
+  obs::MetricsRegistry registry;
+  canister.set_metrics(&registry);
+  canister.set_delta_build_clock(now_us);
+  std::uint64_t t0 = now_us();
+  for (const auto& response : w.responses) canister.process_response(response, w.now_s);
+  r.scan.ingest_us = r.indexed.ingest_us = static_cast<double>(now_us() - t0);
+  r.indexed.delta_builds = registry.counter("canister.delta.builds").value();
+  r.indexed.resident_bytes = canister.unstable_index().resident_bytes();
+
+  // The oracle's meter starts at the canister's post-ingest total, so both
+  // columns report ingest plus their own reads.
+  ic::InstructionMeter oracle_meter;
+  oracle_meter.charge(canister.meter().count());
+  time_reads(
+      w, canister.meter(),
+      [&](const canister::GetUtxosRequest& request) { return canister.get_utxos(request); },
+      [&](const std::string& addr) { return canister.get_balance(addr); }, r.indexed);
+  time_reads(
+      w, oracle_meter,
+      [&](const canister::GetUtxosRequest& request) {
+        return oracles::scan_get_utxos(canister, request, oracle_meter);
+      },
+      [&](const std::string& addr) {
+        return oracles::scan_get_balance(canister, addr, 0, oracle_meter);
+      },
+      r.scan);
 
   if (r.scan.probes.size() != r.indexed.probes.size()) {
     r.divergent = SIZE_MAX;
@@ -543,7 +561,7 @@ RequestModesResult run_request_modes() {
   if (r.scan.meter_total != r.indexed.meter_total) r.divergent += 1;
   if (r.divergent != 0) {
     std::fprintf(stderr,
-                 "FAIL: scan and indexed modes diverged (%zu mismatching request "
+                 "FAIL: the canister and the scan oracle diverged (%zu mismatching request "
                  "digests/meter totals) — responses and metering must be identical\n",
                  r.divergent);
     r.ok = false;
@@ -558,8 +576,7 @@ RequestModesResult run_request_modes() {
   row("get_utxos hot", r.scan.utxos_hot_us, r.indexed.utxos_hot_us);
   row("get_balance cold", r.scan.balance_us, r.indexed.balance_us);
   row("get_balance hot", r.scan.balance_hot_us, r.indexed.balance_hot_us);
-  std::printf("  ingest overhead: scan %.2fms, indexed %.2fms (delta builds: %llu)\n",
-              r.scan.ingest_us / 1e3, r.indexed.ingest_us / 1e3,
+  std::printf("  ingest: %.2fms (delta builds: %llu)\n", r.indexed.ingest_us / 1e3,
               static_cast<unsigned long long>(r.indexed.delta_builds));
   std::printf("  resident deltas: %.1f MiB\n",
               static_cast<double>(r.indexed.resident_bytes) / (1024.0 * 1024.0));

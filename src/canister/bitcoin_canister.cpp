@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
 
 #include "bitcoin/script.h"
 #include "parallel/thread_pool.h"
@@ -104,7 +103,7 @@ void BitcoinCanister::update_state_gauges() {
   if (metrics_.anchor_height == nullptr) return;
   metrics_.anchor_height->set(tree_.root().height);
   metrics_.tip_height->set(tree_.best_height());
-  metrics_.unstable_blocks->set(static_cast<std::int64_t>(unstable_blocks_.size()));
+  metrics_.unstable_blocks->set(static_cast<std::int64_t>(unstable_index_.size()));
   metrics_.pending->set(static_cast<std::int64_t>(pending_txs_.size()));
 }
 
@@ -145,8 +144,7 @@ BitcoinCanister::BitcoinCanister(const bitcoin::ChainParams& params, CanisterCon
 adapter::AdapterRequest BitcoinCanister::make_request() {
   adapter::AdapterRequest request;
   request.anchor = tree_.root_hash();
-  for (const auto& [hash, block] : unstable_blocks_) request.processed.push_back(hash);
-  std::sort(request.processed.begin(), request.processed.end());
+  request.processed = unstable_index_.hashes();
   while (!pending_txs_.empty()) {
     request.transactions.push_back(std::move(pending_txs_.front()));
     pending_txs_.pop_front();
@@ -198,12 +196,11 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     if (accept != chain::AcceptResult::kAccepted && accept != chain::AcceptResult::kDuplicate) {
       continue;
     }
-    if (unstable_blocks_.contains(header.hash())) continue;
+    if (unstable_index_.contains(header.hash())) continue;
 
-    unstable_blocks_.emplace(header.hash(), block);
     const chain::HeaderTree::Entry* entry = tree_.find(header.hash());
     max_available_height_ = std::max(max_available_height_, entry->height);
-    unstable_index_.add_block(header.hash(), *block, entry->height, pool.get());
+    unstable_index_.add_block(header.hash(), block, entry->height, pool.get());
     ++result.blocks_stored;
     result.anchors_advanced += advance_anchor();
   }
@@ -233,7 +230,7 @@ std::size_t BitcoinCanister::advance_anchor() {
     crypto::U256 best_depth(0);
     bool found = false;
     for (const auto& candidate : tree_.blocks_at_height(next_height)) {
-      if (!unstable_blocks_.contains(candidate)) continue;
+      if (!unstable_index_.contains(candidate)) continue;
       crypto::U256 depth = tree_.depth_work(candidate);
       if (!found || depth > best_depth) {
         best = candidate;
@@ -249,19 +246,10 @@ std::size_t BitcoinCanister::advance_anchor() {
     // pool is installed. The owning pool reference is held across the
     // fan-out so a concurrent set_shared_pool() cannot tear the pool down
     // mid-application (see thread_pool.h).
-    IngestStats stats;
-    stats.height = next_height;
     obs::ScopedSpan ingest_span(tracer_, "canister.ingest_block", "canister");
     std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-    BlockApplyStats applied = stable_utxos_.apply(*unstable_index_.delta(best), meter_, pool.get());
-    stats.transactions = applied.transactions;
-    stats.inputs_removed = applied.inputs_removed;
-    stats.outputs_inserted = applied.outputs_inserted;
-    stats.instructions = applied.instructions;
-    stats.insert_instructions = applied.insert_instructions;
-    stats.remove_instructions = applied.remove_instructions;
-    stats.critical_path_instructions = applied.critical_path_instructions;
-    stats.shards_touched = applied.shards_touched;
+    IngestStats stats{stable_utxos_.apply(*unstable_index_.delta(best), meter_, pool.get()),
+                      next_height};
     if (ingest_span.active()) {
       ingest_span.attr("height", static_cast<std::int64_t>(stats.height));
       ingest_span.attr("txs", static_cast<std::uint64_t>(stats.transactions));
@@ -283,15 +271,13 @@ std::size_t BitcoinCanister::advance_anchor() {
     // The stable block header is archived (headers are kept forever); the
     // block itself is discarded and competing branches are pruned
     // (remove_blocks(T, B_next) — all but the stable header are removed).
-    // Only now may the block's delta go: the apply above read from it.
+    // Only now may the block and its delta go: the apply above read from it.
+    // The new root is the block just applied, so it is pruned too, along with
+    // every block whose header went with its fork.
     stable_headers_.push_back(tree_.root().header);
-    unstable_blocks_.erase(best);
     tree_.reroot(best);
-    // Drop any unstable blocks whose headers were pruned with their forks.
-    std::erase_if(unstable_blocks_,
-                  [&](const auto& entry) { return !tree_.contains(entry.first); });
     unstable_index_.prune(
-        [&](const util::Hash256& hash) { return unstable_blocks_.contains(hash); });
+        [&](const util::Hash256& hash) { return hash != best && tree_.contains(hash); });
     recompute_max_available_height();
     ++advanced;
     if (tracer_ != nullptr) {
@@ -304,7 +290,7 @@ std::size_t BitcoinCanister::advance_anchor() {
 
 void BitcoinCanister::recompute_max_available_height() {
   int max_block_height = tree_.root().height;
-  for (const auto& [hash, block] : unstable_blocks_) {
+  for (const auto& hash : unstable_index_.hashes()) {
     const auto* entry = tree_.find(hash);
     if (entry != nullptr) max_block_height = std::max(max_block_height, entry->height);
   }
@@ -341,97 +327,22 @@ std::pair<Hash256, int> BitcoinCanister::considered_tip(int min_confirmations) c
   return {tree_.root_hash(), root_height};
 }
 
-struct BitcoinCanister::UnstableView {
-  std::vector<Utxo> survivors;  // script's unstable UTXOs, newest first
-  /// Scan path: every outpoint spent by the visited unstable blocks.
-  std::unordered_set<bitcoin::OutPoint> scanned_spends;
-  /// Indexed path: the spent index, synced to the chain the view was built
-  /// from, answers for blocks at or below the considered height.
-  const UnstableIndex* index = nullptr;
-  int considered_height = 0;
-
-  bool is_spent(const bitcoin::OutPoint& outpoint) const {
-    return index != nullptr ? index->spent(outpoint, considered_height)
-                            : scanned_spends.contains(outpoint);
-  }
-};
-
-BitcoinCanister::UnstableView BitcoinCanister::unstable_view(const util::Bytes& script,
-                                                             int considered_height) {
-  return config_.unstable_query_mode == UnstableQueryMode::kIndexed
-             ? unstable_view_indexed(script, considered_height)
-             : unstable_view_scan(script, considered_height);
-}
-
-BitcoinCanister::UnstableView BitcoinCanister::unstable_view_scan(const util::Bytes& script,
-                                                                  int considered_height) {
-  UnstableView view;
-  std::vector<Utxo> unstable_added;
-
-  // Scan the current chain above the anchor up to the considered height,
-  // tracking outputs added for the script and all spends.
-  const std::vector<Hash256>& chain = tree_.current_chain();
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    const auto* entry = tree_.find(chain[i]);
-    if (entry->height > considered_height) break;
-    auto block_it = unstable_blocks_.find(chain[i]);
-    if (block_it == unstable_blocks_.end()) break;  // cannot see past a gap
-    meter_.charge(config_.costs.unstable_block_scan);
-    for (const auto& tx : block_it->second->transactions) {
-      if (!tx.is_coinbase()) {
-        for (const auto& in : tx.inputs) view.scanned_spends.insert(in.prevout);
-      }
-      Hash256 txid = tx.txid();
-      for (std::uint32_t v = 0; v < tx.outputs.size(); ++v) {
-        if (tx.outputs[v].script_pubkey != script) continue;
-        meter_.charge(config_.costs.unstable_utxo_read);
-        unstable_added.push_back(
-            Utxo{bitcoin::OutPoint{txid, v}, tx.outputs[v].value, entry->height});
-      }
-    }
-  }
-
-  // Unstable outputs spent by later unstable transactions drop out.
-  for (const auto& u : unstable_added) {
-    if (!view.is_spent(u.outpoint)) view.survivors.push_back(u);
-  }
-  // Newest first: unstable entries carry the greatest heights.
-  std::sort(view.survivors.begin(), view.survivors.end(), [](const Utxo& a, const Utxo& b) {
-    return a.height != b.height ? a.height > b.height : a.outpoint < b.outpoint;
-  });
-  return view;
-}
-
-BitcoinCanister::UnstableView BitcoinCanister::unstable_view_indexed(const util::Bytes& script,
-                                                                     int considered_height) {
-  // The same anchor-exclusive prefix the scan visits (stop at the considered
-  // height or the first block-data gap), read from the index's synced chain.
-  UnstableIndex::View indexed =
-      unstable_index_.view(tree_.current_chain(), script, considered_height);
-  // Metering parity: the scan charges one unstable_block_scan per visited
-  // block and one unstable_utxo_read per output paying the script,
-  // survivors and spent-again outputs alike.
-  meter_.charge(config_.costs.unstable_block_scan * indexed.visited_blocks);
-  meter_.charge(config_.costs.unstable_utxo_read * indexed.matched_outputs);
-
-  UnstableView view;
-  view.index = &unstable_index_;
-  view.considered_height = considered_height;
-  view.survivors.reserve(indexed.survivors.size());
-  for (const auto& u : indexed.survivors) {
-    view.survivors.push_back(Utxo{u.outpoint, u.value, u.height});
-  }
-  return view;
-}
-
 std::vector<Utxo> BitcoinCanister::collect_utxos(const util::Bytes& script,
                                                  int considered_height,
                                                  std::uint64_t stable_read_cost) {
-  UnstableView view = unstable_view(script, considered_height);
-  std::vector<Utxo> result = std::move(view.survivors);
+  // The unstable chain above the anchor up to the considered height and its
+  // first block-data gap. Metering contract (unstable_index.h): one
+  // unstable_block_scan per visited block and one unstable_utxo_read per
+  // output paying the script, survivors and spent-again outputs alike.
+  UnstableIndex::View view = unstable_index_.view(tree_.current_chain(), script, considered_height);
+  meter_.charge(config_.costs.unstable_block_scan * view.visited_blocks);
+  meter_.charge(config_.costs.unstable_utxo_read * view.matched_outputs);
+  std::vector<Utxo> result;
+  for (const auto& u : view.survivors) result.push_back(Utxo{u.outpoint, u.value, u.height});
   // Stable entries are already sorted by height descending.
   for (const auto& stored : stable_utxos_.utxos_for_script(script, meter_, stable_read_cost)) {
-    if (view.is_spent(stored.outpoint)) continue;  // spent by an unstable tx
+    // Spent by an unstable tx at or below the considered height.
+    if (unstable_index_.spent(stored.outpoint, considered_height)) continue;
     result.push_back(Utxo{stored.outpoint, stored.value, stored.height});
   }
   return result;
@@ -440,10 +351,13 @@ std::vector<Utxo> BitcoinCanister::collect_utxos(const util::Bytes& script,
 std::size_t BitcoinCanister::collect_utxos_page(const util::Bytes& script, int considered_height,
                                                 std::size_t offset, std::size_t limit,
                                                 std::vector<Utxo>& out) {
-  UnstableView view = unstable_view(script, considered_height);
+  UnstableIndex::View view = unstable_index_.view(tree_.current_chain(), script, considered_height);
+  meter_.charge(config_.costs.unstable_block_scan * view.visited_blocks);
+  meter_.charge(config_.costs.unstable_utxo_read * view.matched_outputs);
   const std::size_t unstable_total = view.survivors.size();
   for (std::size_t i = offset; i < unstable_total && out.size() < limit; ++i) {
-    out.push_back(view.survivors[i]);
+    const StoredUtxo& u = view.survivors[i];
+    out.push_back(Utxo{u.outpoint, u.value, u.height});
   }
   // Single ordered walk of the stable list: the spent filter is applied
   // before ranking, so page boundaries line up with the unpaged view, and
@@ -452,7 +366,7 @@ std::size_t BitcoinCanister::collect_utxos_page(const util::Bytes& script, int c
   std::vector<StoredUtxo> stable_page;
   std::size_t stable_total = stable_utxos_.utxos_for_script_paged(
       script, meter_, stable_offset, limit - out.size(), stable_page,
-      [&](const bitcoin::OutPoint& op) { return !view.is_spent(op); });
+      [&](const bitcoin::OutPoint& op) { return !unstable_index_.spent(op, considered_height); });
   for (const auto& s : stable_page) out.push_back(Utxo{s.outpoint, s.value, s.height});
   return unstable_total + stable_total;
 }
@@ -553,9 +467,9 @@ Outcome<std::vector<std::uint64_t>> BitcoinCanister::get_current_fee_percentiles
   // resolve.
   std::unordered_map<bitcoin::OutPoint, std::optional<bitcoin::Amount>> unstable_values;
   for (std::size_t i = first; i < chain.size(); ++i) {
-    auto it = unstable_blocks_.find(chain[i]);
-    if (it == unstable_blocks_.end()) continue;
-    for (const auto& tx : it->second->transactions) {
+    const Block* block = unstable_index_.block(chain[i]);
+    if (block == nullptr) continue;
+    for (const auto& tx : block->transactions) {
       if (tx.is_coinbase()) continue;
       for (const auto& in : tx.inputs) unstable_values.try_emplace(in.prevout);
     }
@@ -571,10 +485,10 @@ Outcome<std::vector<std::uint64_t>> BitcoinCanister::get_current_fee_percentiles
 
   std::vector<double> fee_rates;  // millisatoshi per vbyte
   for (std::size_t i = first; i < chain.size(); ++i) {
-    auto it = unstable_blocks_.find(chain[i]);
-    if (it == unstable_blocks_.end()) continue;
+    const Block* block = unstable_index_.block(chain[i]);
+    if (block == nullptr) continue;
     meter_.charge(config_.costs.unstable_block_scan);
-    for (const auto& tx : it->second->transactions) {
+    for (const auto& tx : block->transactions) {
       if (tx.is_coinbase()) continue;
       bitcoin::Amount in_value = 0;
       bool resolved = true;
@@ -673,12 +587,9 @@ util::Bytes BitcoinCanister::write_checkpoint() const {
   }
   {
     util::ByteWriter& w = cw.begin_section(kSecUnstableBlocks);
-    std::vector<Hash256> hashes;
-    hashes.reserve(unstable_blocks_.size());
-    for (const auto& [hash, block] : unstable_blocks_) hashes.push_back(hash);
-    std::sort(hashes.begin(), hashes.end());
+    std::vector<Hash256> hashes = unstable_index_.hashes();
     w.varint(hashes.size());
-    for (const auto& hash : hashes) w.var_bytes(unstable_blocks_.at(hash)->serialize());
+    for (const auto& hash : hashes) w.var_bytes(unstable_index_.block(hash)->serialize());
   }
   {
     util::ByteWriter& w = cw.begin_section(kSecStableHeaders);
@@ -727,7 +638,9 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
     }
 
     // Headers were fully validated before the checkpoint was written; only
-    // structural linkage matters on restore.
+    // structural linkage matters on restore. Like the UTXO section, the
+    // header and block sections restore only in the writer's canonical
+    // order, so a restored canister writes back exactly the bytes it read.
     chain::ValidationOptions lax;
     lax.check_pow = false;
     lax.check_difficulty = false;
@@ -735,11 +648,15 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
     {
       util::ByteReader r = reader.section(kSecHeaders);
       std::size_t n = r.checked_len(r.varint());
+      std::pair<int, Hash256> last{canister.tree_.root().height, Hash256{}};
       for (std::size_t i = 0; i < n; ++i) {
         bitcoin::BlockHeader header = bitcoin::BlockHeader::deserialize(r);
         if (canister.tree_.accept(header, 0, nullptr, lax) != chain::AcceptResult::kAccepted) {
           throw util::DecodeError("orphan header");
         }
+        std::pair<int, Hash256> key{canister.tree_.find(header.hash())->height, header.hash()};
+        if (key <= last) throw util::DecodeError("headers not ascending by (height, hash)");
+        last = key;
       }
       if (!r.done()) throw util::DecodeError("headers trailing bytes");
     }
@@ -747,15 +664,16 @@ BitcoinCanister BitcoinCanister::from_checkpoint(const bitcoin::ChainParams& par
     {
       util::ByteReader r = reader.section(kSecUnstableBlocks);
       std::size_t n = r.checked_len(r.varint());
+      std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
+      Hash256 last;
       for (std::size_t i = 0; i < n; ++i) {
-        bitcoin::Block block = bitcoin::Block::parse(r.var_bytes());
-        Hash256 hash = block.hash();
+        auto block = std::make_shared<const Block>(Block::parse(r.var_bytes()));
+        Hash256 hash = block->hash();
         if (!canister.tree_.contains(hash)) throw util::DecodeError("stray block");
-        std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
-        canister.unstable_index_.add_block(hash, block, canister.tree_.find(hash)->height,
-                                           pool.get());
-        canister.unstable_blocks_.emplace(hash,
-                                          std::make_shared<const Block>(std::move(block)));
+        if (i > 0 && hash <= last) throw util::DecodeError("unstable blocks not ascending by hash");
+        last = hash;
+        canister.unstable_index_.add_block(hash, std::move(block),
+                                           canister.tree_.find(hash)->height, pool.get());
       }
       if (!r.done()) throw util::DecodeError("blocks trailing bytes");
       canister.recompute_max_available_height();
@@ -817,7 +735,7 @@ BitcoinCanister BitcoinCanister::restore(const bitcoin::ChainParams& params,
 
 std::uint64_t BitcoinCanister::memory_bytes() const {
   std::uint64_t unstable = 0;
-  for (const auto& [hash, block] : unstable_blocks_) unstable += block->size();
+  for (const auto& hash : unstable_index_.hashes()) unstable += unstable_index_.block(hash)->size();
   return stable_utxos_.memory_bytes() + unstable + 81 * (stable_headers_.size() + tree_.size());
 }
 

@@ -12,7 +12,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "adapter/adapter.h"
 #include "bitcoin/address.h"
@@ -26,15 +25,6 @@
 
 namespace icbtc::canister {
 
-/// How the query endpoints derive the unstable part of the merged view.
-/// Responses and metered instruction counts are identical in both modes
-/// (enforced by differential tests and the bench_request_latency gate);
-/// only host wall-clock differs.
-enum class UnstableQueryMode {
-  kScan,     // re-scan every unstable block's transactions per request
-  kIndexed,  // per-block deltas over the cached chain + a synced spent index
-};
-
 struct CanisterConfig {
   /// δ: difficulty-based stability threshold for anchor advancement
   /// (144 on mainnet — roughly one day of blocks).
@@ -46,9 +36,6 @@ struct CanisterConfig {
   std::size_t utxos_per_page = 1000;
   /// Blocks scanned by get_current_fee_percentiles.
   int fee_window_blocks = 6;
-  /// Unstable read path; kScan is kept as the differential-test oracle and
-  /// the bench baseline. Either way every stored block gets its delta.
-  UnstableQueryMode unstable_query_mode = UnstableQueryMode::kIndexed;
   /// Stable UTXO set shards (>= 1); block ingestion applies them in parallel
   /// when the shared thread pool is installed. Responses, metering, and
   /// digests are bit-identical for every shard count (1 reproduces the
@@ -114,19 +101,10 @@ struct GetUtxosResponse {
   std::optional<util::Bytes> next_page;  // set when more UTXOs remain
 };
 
-/// Per-stable-block ingestion record (drives the Fig. 6 benches).
-struct IngestStats {
+/// Per-stable-block ingestion record (drives the Fig. 6 benches): the
+/// block's apply statistics and its height.
+struct IngestStats : BlockApplyStats {
   int height = 0;
-  std::size_t transactions = 0;
-  std::size_t inputs_removed = 0;
-  std::size_t outputs_inserted = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t insert_instructions = 0;
-  std::uint64_t remove_instructions = 0;
-  /// Modelled shard-parallel latency: serial prologue + max per-shard
-  /// mutation charge (== instructions at 1 shard). See BlockApplyStats.
-  std::uint64_t critical_path_instructions = 0;
-  std::size_t shards_touched = 0;
 };
 
 class BitcoinCanister {
@@ -191,11 +169,12 @@ class BitcoinCanister {
   util::Bytes write_checkpoint() const;
 
   /// Rebuilds a canister from a write_checkpoint() stream under a possibly
-  /// different CanisterConfig (shard count / backend / query mode). The
-  /// restored canister's UTXO digest, query responses, and meter total are
-  /// identical to the writer's. Throws persist::CheckpointError — never a
-  /// partially restored canister — on any corruption, including a UTXO
-  /// section that is not canonical (kMalformed).
+  /// different CanisterConfig (shard count / backend). The restored
+  /// canister's UTXO digest, query responses, and meter total are identical
+  /// to the writer's. Throws persist::CheckpointError — never a partially
+  /// restored canister — on any corruption, including a header, unstable
+  /// block or UTXO section that is not in the writer's canonical order
+  /// (kMalformed).
   static BitcoinCanister from_checkpoint(const bitcoin::ChainParams& params,
                                          CanisterConfig config, util::ByteSpan checkpoint);
 
@@ -212,7 +191,7 @@ class BitcoinCanister {
   std::size_t utxo_count() const { return stable_utxos_.size(); }
   /// Modelled memory footprint: stable UTXO store + unstable blocks + headers.
   std::uint64_t memory_bytes() const;
-  std::size_t unstable_block_count() const { return unstable_blocks_.size(); }
+  std::size_t unstable_block_count() const { return unstable_index_.size(); }
   std::size_t pending_transactions() const { return pending_txs_.size(); }
   const chain::HeaderTree& header_tree() const { return tree_; }
   const UtxoIndex& stable_utxos() const { return stable_utxos_; }
@@ -253,8 +232,8 @@ class BitcoinCanister {
   void set_slo(obs::SloTracker* slo);
   obs::SloTracker* slo() const { return slo_tracker_; }
 
-  /// The unstable-block delta index: one delta per stored unstable block,
-  /// in either query mode (anchor advance applies the deltas).
+  /// The unstable window: every stored block above the anchor with its delta
+  /// (anchor advance applies the deltas).
   const UnstableIndex& unstable_index() const { return unstable_index_; }
 
   /// Installs a host wall-clock (µs) feeding the `canister.delta.build_us`
@@ -264,8 +243,6 @@ class BitcoinCanister {
   }
 
  private:
-  struct UnstableView;
-
   /// Per-endpoint observability hooks; all nullptr without a registry.
   struct EndpointMetrics {
     obs::Counter* calls = nullptr;
@@ -311,18 +288,6 @@ class BitcoinCanister {
   /// chain.
   std::pair<util::Hash256, int> considered_tip(int min_confirmations) const;
 
-  /// The unstable chain's view up to the considered height for `script`:
-  /// surviving unstable outputs (sorted newest-first) plus a test for the
-  /// outpoints spent by the visited unstable blocks. Dispatches on
-  /// config_.unstable_query_mode; both paths charge identical instructions.
-  UnstableView unstable_view(const util::Bytes& script, int considered_height);
-  /// Naive per-request scan over every unstable block's transactions (the
-  /// oracle for the differential tests and the bench baseline).
-  UnstableView unstable_view_scan(const util::Bytes& script, int considered_height);
-  /// Per-block deltas of the cached current chain with a spent index that
-  /// is synced incrementally — O(relevant).
-  UnstableView unstable_view_indexed(const util::Bytes& script, int considered_height);
-
   /// Recomputes the incrementally tracked max available-block height after
   /// anchor advances or fork pruning shrink the unstable set.
   void recompute_max_available_height();
@@ -347,11 +312,10 @@ class BitcoinCanister {
 
   UtxoIndex stable_utxos_;
   chain::HeaderTree tree_;  // rooted at the anchor
-  /// The unstable window's blocks, shared with the adapter response that
-  /// delivered them (never copied); each is released when the anchor passes
-  /// it or its fork is pruned.
-  std::unordered_map<util::Hash256, std::shared_ptr<const bitcoin::Block>> unstable_blocks_;
-  UnstableIndex unstable_index_;  // per-block deltas over unstable_blocks_
+  /// The unstable window: each block shared with the adapter response that
+  /// delivered it (never copied) beside its delta, both released when the
+  /// anchor passes the block or its fork is pruned.
+  UnstableIndex unstable_index_;
   /// Max height among available (stored) blocks and the anchor, maintained
   /// incrementally so is_synced() is O(1) instead of a per-call scan.
   int max_available_height_ = 0;

@@ -5,22 +5,23 @@
 
 namespace icbtc::canister {
 
-void UnstableIndex::add_block(const util::Hash256& hash, const bitcoin::Block& block,
-                              int height, parallel::ThreadPool* pool) {
-  if (deltas_.contains(hash)) return;
+void UnstableIndex::add_block(const util::Hash256& hash,
+                              std::shared_ptr<const bitcoin::Block> block, int height,
+                              parallel::ThreadPool* pool) {
+  if (entries_.contains(hash)) return;
   std::uint64_t t0 = build_clock_ ? build_clock_() : 0;
   obs::ScopedSpan span(tracer_, "canister.delta.build", "canister");
 
-  auto delta = std::make_unique<BlockDelta>(build_block_delta(block, height, pool));
-  resident_bytes_ += delta->resident_bytes;
+  BlockDelta delta = build_block_delta(*block, height, pool);
+  resident_bytes_ += delta.resident_bytes;
 
   if (span.active()) {
     span.attr("height", static_cast<std::int64_t>(height));
-    span.attr("txs", static_cast<std::uint64_t>(delta->transactions()));
-    span.attr("outputs", static_cast<std::uint64_t>(delta->outputs.size()));
-    span.attr("spends", static_cast<std::uint64_t>(delta->spent.size()));
+    span.attr("txs", static_cast<std::uint64_t>(delta.transactions()));
+    span.attr("outputs", static_cast<std::uint64_t>(delta.outputs.size()));
+    span.attr("spends", static_cast<std::uint64_t>(delta.spent.size()));
   }
-  deltas_.emplace(hash, std::move(delta));
+  entries_.emplace(hash, Entry{std::move(block), std::move(delta)});
   ++generation_;
   if (metrics_.builds != nullptr) {
     metrics_.builds->inc();
@@ -70,6 +71,14 @@ void UnstableIndex::sync(const std::vector<util::Hash256>& chain) {
   synced_generation_ = generation_;
 }
 
+std::vector<util::Hash256> UnstableIndex::hashes() const {
+  std::vector<util::Hash256> out;
+  out.reserve(entries_.size());
+  for (const auto& [hash, entry] : entries_) out.push_back(hash);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 bool UnstableIndex::spent(const bitcoin::OutPoint& outpoint, int height) const {
   auto [first, last] = spent_.equal_range(outpoint);
   return std::any_of(first, last, [&](const auto& e) { return e.second <= height; });
@@ -116,7 +125,7 @@ void UnstableIndex::set_metrics(obs::MetricsRegistry* registry) {
 void UnstableIndex::update_gauges() {
   if (metrics_.resident == nullptr) return;
   metrics_.resident->set(static_cast<std::int64_t>(resident_bytes_));
-  metrics_.blocks->set(static_cast<std::int64_t>(deltas_.size()));
+  metrics_.blocks->set(static_cast<std::int64_t>(entries_.size()));
 }
 
 }  // namespace icbtc::canister

@@ -1,24 +1,25 @@
-// Incremental delta index over the canister's unstable blocks (§III-C).
+// The canister's unstable window (§III-C): every stored block above the
+// anchor, each beside the delta built from it, and the index that serves the
+// unstable half of get_utxos/get_balance.
 //
-// The Bitcoin canister serves get_utxos/get_balance against the merged
-// stable + unstable view. The naive implementation re-scans every
-// transaction of every unstable block on every request — O(unstable chain)
-// per call, hundreds of thousands of tx visits at mainnet shape (δ=144
-// blocks above the anchor). This index makes the read path O(relevant): when
-// a block enters the unstable set its BlockDelta (canister/block_delta.h) is
-// built exactly once — its outputs with a sorted script lookup, the outpoints
-// it spends, and a bloom-style "may touch script" summary for cheap negative
-// lookups. The stable store applies the same delta once the block is
-// δ-stable. A read syncs the index to the current chain: it caches the
-// chain's deltas above the anchor and keeps an `outpoint → spending heights`
-// index over them, both updated only for the blocks that changed since the
-// last read.
+// Re-scanning every transaction of every unstable block per request would be
+// O(unstable chain) per call — hundreds of thousands of tx visits at mainnet
+// shape (δ=144 blocks above the anchor). This index makes the read path
+// O(relevant): when a block enters the window its BlockDelta
+// (canister/block_delta.h) is built exactly once — its outputs with a sorted
+// script lookup, the outpoints it spends, and a bloom-style "may touch
+// script" summary for cheap negative lookups. The stable store applies the
+// same delta once the block is δ-stable. A read syncs the index to the
+// current chain: it caches the chain's deltas above the anchor and keeps an
+// `outpoint → spending heights` index over them, both updated only for the
+// blocks that changed since the last read.
 //
 // Metering contract: the index changes HOST wall-clock only. The instruction
-// meter models the IC canister's measured request costs (Fig. 7), so the
-// indexed path must charge exactly what the scan would have:
-// `unstable_block_scan` per chain block visited and `unstable_utxo_read` per
-// matching output — View reports both counts and the canister charges them.
+// meter models the IC canister's measured request costs (Fig. 7), which are
+// those of a scan: `unstable_block_scan` per chain block visited and
+// `unstable_utxo_read` per matching output — View reports both counts and
+// the canister charges them. The scan itself lives on as the reference
+// oracle in src/oracles/scan_reads.h, outside every production library.
 #pragma once
 
 #include <functional>
@@ -45,23 +46,24 @@ class UnstableIndex {
     std::size_t matched_outputs = 0;    // charged unstable_utxo_read each
   };
 
-  /// Builds and stores the delta for `hash` (build_block_delta; txids are
-  /// hashed on `pool`). Idempotent for a hash already present.
-  void add_block(const util::Hash256& hash, const bitcoin::Block& block, int height,
-                 parallel::ThreadPool* pool);
+  /// Stores `block` (shared, never copied) under `hash` with the delta built
+  /// from it (build_block_delta; txids are hashed on `pool`). Idempotent for
+  /// a hash already present.
+  void add_block(const util::Hash256& hash, std::shared_ptr<const bitcoin::Block> block,
+                 int height, parallel::ThreadPool* pool);
 
-  /// Drops every delta for which keep(hash) is false (anchor advance /
-  /// reorg pruning).
+  /// Drops every block for which keep(hash) is false, together with its
+  /// delta (anchor advance / reorg pruning).
   template <typename Keep>
   void prune(Keep&& keep) {
     bool changed = false;
-    for (auto it = deltas_.begin(); it != deltas_.end();) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
       if (keep(it->first)) {
         ++it;
       } else {
-        unsync(it->second.get());
-        resident_bytes_ -= it->second->resident_bytes;
-        it = deltas_.erase(it);
+        unsync(&it->second.delta);
+        resident_bytes_ -= it->second.delta.resident_bytes;
+        it = entries_.erase(it);
         changed = true;
       }
     }
@@ -71,10 +73,19 @@ class UnstableIndex {
     }
   }
 
-  const BlockDelta* delta(const util::Hash256& hash) const {
-    auto it = deltas_.find(hash);
-    return it == deltas_.end() ? nullptr : it->second.get();
+  bool contains(const util::Hash256& hash) const { return entries_.contains(hash); }
+  /// The stored block, or nullptr.
+  const bitcoin::Block* block(const util::Hash256& hash) const {
+    auto it = entries_.find(hash);
+    return it == entries_.end() ? nullptr : it->second.block.get();
   }
+  /// The stored block's delta, or nullptr.
+  const BlockDelta* delta(const util::Hash256& hash) const {
+    auto it = entries_.find(hash);
+    return it == entries_.end() ? nullptr : &it->second.delta;
+  }
+  /// Every stored block's hash, ascending.
+  std::vector<util::Hash256> hashes() const;
 
   /// Assembles the view for `script` over the blocks of `chain` (a header
   /// tree's current chain, root first) above the root, up to `height` and
@@ -87,7 +98,8 @@ class UnstableIndex {
   /// `outpoint`.
   bool spent(const bitcoin::OutPoint& outpoint, int height) const;
 
-  std::size_t size() const { return deltas_.size(); }
+  std::size_t size() const { return entries_.size(); }
+  /// Host bytes held by the deltas (the blocks are not counted).
   std::uint64_t resident_bytes() const { return resident_bytes_; }
 
   /// Attaches a metrics registry (nullptr detaches): `canister.delta.*` —
@@ -115,9 +127,15 @@ class UnstableIndex {
   void unindex_spends(const BlockDelta& delta);
   void update_gauges();
 
-  std::unordered_map<util::Hash256, std::unique_ptr<BlockDelta>> deltas_;
+  /// One unstable block and the delta built from it at arrival. Map nodes
+  /// never move, so `synced_` may point at their deltas.
+  struct Entry {
+    std::shared_ptr<const bitcoin::Block> block;
+    BlockDelta delta;
+  };
+  std::unordered_map<util::Hash256, Entry> entries_;
   std::uint64_t resident_bytes_ = 0;
-  /// Bumped by every delta mutation; part of the sync key.
+  /// Bumped by every block added or pruned; part of the sync key.
   std::uint64_t generation_ = 0;
 
   /// Sync state: the deltas of the synced chain above its root in chain

@@ -114,8 +114,7 @@ void PresignaturePool::refill() {
   }
 
   std::vector<DealtPresignature> dealt(need);
-  std::shared_ptr<parallel::ThreadPool> pool_ref =
-      config_.parallel_refill ? parallel::shared_pool_ref() : nullptr;
+  std::shared_ptr<parallel::ThreadPool> pool_ref = parallel::shared_pool_ref();
   parallel::parallel_for(pool_ref.get(), need, [&](std::size_t i) {
     auto [pub, shares] = dealer_.deal_presignature_from(randomness[i]);
     dealt[i] = DealtPresignature{seqs[i], pub, std::move(shares), false};

@@ -4,9 +4,9 @@
 // "quadruple" presignature material — runs as a background MPC between
 // consensus rounds, and sign_with_ecdsa requests only pay the cheap online
 // phase (partial signatures + recombination). This pool reproduces that
-// split: presignatures are dealt ahead of demand, in batches, optionally on
-// the process-wide parallel::ThreadPool, and consumed FIFO by signing
-// requests.
+// split: presignatures are dealt ahead of demand, in batches, on the
+// process-wide parallel::ThreadPool when one is installed, and consumed FIFO
+// by signing requests.
 //
 // Determinism contract: all dealing — prefill, refill batches, and the
 // exhaustion fallback — is serialized under one deal mutex and draws from
@@ -51,9 +51,6 @@ struct PresigPoolConfig {
   /// maybe_refill() tops the pool back up to `depth` once the stock falls
   /// below this. 0 means "only refill when empty".
   std::size_t low_watermark = 0;
-  /// Fan the pure per-presignature computation of a refill batch out over
-  /// the process-wide thread pool when one is installed.
-  bool parallel_refill = true;
 };
 
 class PresignaturePool {

@@ -232,7 +232,6 @@ ThresholdEcdsaService::ThresholdEcdsaService(std::uint32_t t, std::uint32_t n, s
   PresigPoolConfig pool_config;
   pool_config.depth = config_.pool_depth;
   pool_config.low_watermark = config_.pool_low_watermark;
-  pool_config.parallel_refill = config_.parallel_refill;
   // The pool gets its own forked stream: its deal sequence is then a pure
   // function of `seed`, independent of any other use of rng_.
   pool_ = std::make_unique<PresignaturePool>(dealer_, pool_config, rng_.fork());

@@ -197,9 +197,6 @@ struct ThresholdEcdsaServiceConfig {
   /// pre-pool behaviour) and refill trigger; see PresigPoolConfig.
   std::size_t pool_depth = 0;
   std::size_t pool_low_watermark = 0;
-  /// Compute refill batches on the process-wide parallel::ThreadPool when
-  /// one is installed.
-  bool parallel_refill = true;
   /// Cache each derivation path's public key, keyed by the path's tweak.
   /// Contracts sign many times under one path; the derivation costs a point
   /// multiplication, the tweak one hash.

@@ -4,6 +4,7 @@
 
 #include "bitcoin/script.h"
 #include "chain/block_builder.h"
+#include "oracles/scan_reads.h"
 #include "parallel/thread_pool.h"
 
 namespace icbtc::canister {
@@ -556,18 +557,17 @@ TEST_F(BlockSharingTest, WindowSharesResponseBlockUntilAnchorPasses) {
   EXPECT_EQ(canister_.get_balance(address(1)).value, 50 * bitcoin::kCoin);
 }
 
-TEST_F(BlockSharingTest, ScanAndIndexedTwinsShareOneBlockAndAgree) {
+TEST_F(BlockSharingTest, ShardTwinsShareOneBlockAndAgreeWithScanOracle) {
   // One response, parsed from wire bytes with the shared pool installed (a
   // block of 151 transactions hashes its txids there, and 4-shard apply runs
-  // there), feeds both twins: each keeps the same unstable block objects,
-  // and both serve the same answers.
+  // there), feeds twins at 1 and 4 shards: each keeps the same unstable
+  // block objects, and both serve the scan oracle's answers.
   parallel::set_shared_pool(3);
   CanisterConfig config = CanisterConfig::for_params(params_);
+  config.utxo_shards = 1;
+  BitcoinCanister unsharded(params_, config);
   config.utxo_shards = 4;
-  config.unstable_query_mode = UnstableQueryMode::kScan;
-  BitcoinCanister scan(params_, config);
-  config.unstable_query_mode = UnstableQueryMode::kIndexed;
-  BitcoinCanister indexed(params_, config);
+  BitcoinCanister sharded(params_, config);
 
   auto spend = [](const bitcoin::Transaction& parent, std::uint32_t vout, bitcoin::Amount value,
                   util::Bytes to) {
@@ -604,34 +604,47 @@ TEST_F(BlockSharingTest, ScanAndIndexedTwinsShareOneBlockAndAgree) {
   for (const auto& b : blocks) {
     response.blocks.emplace_back(Block::parse(b.serialize()), b.header);
   }
-  scan.process_response(response, now_s());
-  indexed.process_response(response, now_s());
-  ASSERT_EQ(scan.anchor_height(), 2);
-  ASSERT_EQ(indexed.anchor_height(), 2);
+  unsharded.process_response(response, now_s());
+  sharded.process_response(response, now_s());
+  ASSERT_EQ(unsharded.anchor_height(), 2);
+  ASSERT_EQ(sharded.anchor_height(), 2);
   for (std::size_t i = 0; i < response.blocks.size(); ++i) {
     // Heights 1 and 2 are stable and released; the rest sit in both windows.
     EXPECT_EQ(response.blocks[i].block.use_count(), i < 2 ? 1 : 3) << "height " << i + 1;
   }
 
-  EXPECT_EQ(scan.utxo_digest(), indexed.utxo_digest());
+  EXPECT_EQ(unsharded.utxo_digest(), sharded.utxo_digest());
   for (std::uint8_t tag : {1, 10, 11, 12, 13, 14, 20, 21, 22, 30, 99}) {
     SCOPED_TRACE(static_cast<int>(tag));
     GetUtxosRequest request;
     request.address = address(tag);
-    auto a = scan.get_utxos(request);
-    auto b = indexed.get_utxos(request);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value.utxos, b.value.utxos);
-    EXPECT_EQ(a.value.tip_hash, b.value.tip_hash);
-    EXPECT_EQ(a.value.next_page, b.value.next_page);
-    EXPECT_EQ(scan.get_balance(address(tag)).value, indexed.get_balance(address(tag)).value);
+    for (BitcoinCanister* twin : {&unsharded, &sharded}) {
+      ic::InstructionMeter::Segment utxos_cost(twin->meter());
+      auto got = twin->get_utxos(request);
+      std::uint64_t charged = utxos_cost.sample();
+      ic::InstructionMeter oracle_meter;
+      auto want = oracles::scan_get_utxos(*twin, request, oracle_meter);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got.value.utxos, want.value.utxos);
+      EXPECT_EQ(got.value.tip_hash, want.value.tip_hash);
+      EXPECT_EQ(got.value.next_page, want.value.next_page);
+      EXPECT_EQ(charged, oracle_meter.count());
+
+      ic::InstructionMeter::Segment balance_cost(twin->meter());
+      auto balance = twin->get_balance(address(tag));
+      charged = balance_cost.sample();
+      oracle_meter.reset();
+      EXPECT_EQ(balance.value,
+                oracles::scan_get_balance(*twin, address(tag), 0, oracle_meter).value);
+      EXPECT_EQ(charged, oracle_meter.count());
+    }
   }
-  auto scan_fees = scan.get_current_fee_percentiles();
-  ASSERT_TRUE(scan_fees.ok());
-  EXPECT_EQ(scan_fees.value.size(), 101u);
-  EXPECT_EQ(scan_fees.value, indexed.get_current_fee_percentiles().value);
-  EXPECT_EQ(scan.meter().count(), indexed.meter().count());
+  auto fees = unsharded.get_current_fee_percentiles();
+  ASSERT_TRUE(fees.ok());
+  EXPECT_EQ(fees.value.size(), 101u);
+  EXPECT_EQ(fees.value, sharded.get_current_fee_percentiles().value);
+  EXPECT_EQ(unsharded.meter().count(), sharded.meter().count());
   parallel::set_shared_pool(0);
 }
 

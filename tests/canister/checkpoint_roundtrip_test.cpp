@@ -3,8 +3,9 @@
 // backend must reproduce the writer's digest, query responses, and meter
 // total, then stay in lockstep), checkpoint canonicality across writer
 // configurations, the UTXO section as the digest's preimage, canister-level
-// corruption KATs (including non-canonical UTXO rows), and the pinning tests
-// for the arena-accurate `utxo.shard.*` / `canister.delta.*` gauges.
+// corruption KATs (including non-canonical header, unstable-block and UTXO
+// sections), and the pinning tests for the arena-accurate `utxo.shard.*` /
+// `canister.delta.*` gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,13 +230,35 @@ TEST_P(CheckpointRoundTrip, CheckpointBytesInvariantAcrossWriterConfig) {
   EXPECT_EQ(a.write_checkpoint(), a.write_checkpoint());
 }
 
-// The checkpoint's UTXO section id (kSecUtxos in the canister's writer).
+// Checkpoint section ids (kSecHeaders, kSecUnstableBlocks and kSecUtxos in
+// the canister's writer).
+constexpr std::uint32_t kHeaderSection = 2;
+constexpr std::uint32_t kBlockSection = 3;
 constexpr std::uint32_t kUtxoSection = 5;
 
-util::Bytes utxo_section(util::ByteSpan checkpoint) {
-  util::ByteReader r = persist::CheckpointReader(checkpoint).section(kUtxoSection);
+util::Bytes section(util::ByteSpan checkpoint, std::uint32_t id) {
+  util::ByteReader r = persist::CheckpointReader(checkpoint).section(id);
   util::ByteSpan payload = r.bytes(r.remaining());
   return util::Bytes(payload.begin(), payload.end());
+}
+
+/// `checkpoint` resealed, with valid CRCs, around `payload` as section `id`.
+util::Bytes with_section(util::ByteSpan checkpoint, std::uint32_t id, util::ByteSpan payload) {
+  persist::CheckpointReader reader(checkpoint);
+  persist::CheckpointWriter writer;
+  std::size_t copied = 0;
+  for (std::uint32_t s = 1; copied < reader.section_count(); ++s) {
+    if (!reader.has_section(s)) continue;
+    ++copied;
+    util::ByteWriter& w = writer.begin_section(s);
+    if (s == id) {
+      w.bytes(payload);
+      continue;
+    }
+    util::ByteReader r = reader.section(s);
+    w.bytes(r.bytes(r.remaining()));
+  }
+  return std::move(writer).finish();
 }
 
 TEST_P(CheckpointRoundTrip, UtxoDigestHashesTheUtxoSection) {
@@ -247,7 +270,8 @@ TEST_P(CheckpointRoundTrip, UtxoDigestHashesTheUtxoSection) {
   BitcoinCanister canister(chain.params, config);
   chain.run(canister, 30);
   ASSERT_GT(canister.utxo_count(), 0u);
-  EXPECT_EQ(canister.utxo_digest(), crypto::sha256d(utxo_section(canister.write_checkpoint())));
+  EXPECT_EQ(canister.utxo_digest(),
+            crypto::sha256d(section(canister.write_checkpoint(), kUtxoSection)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointRoundTrip, ::testing::Values(11u, 22u, 33u));
@@ -314,7 +338,7 @@ struct UtxoRow {
 };
 
 std::vector<UtxoRow> utxo_rows(util::ByteSpan checkpoint) {
-  util::Bytes payload = utxo_section(checkpoint);
+  util::Bytes payload = section(checkpoint, kUtxoSection);
   util::ByteReader r(payload);
   std::vector<UtxoRow> rows(r.u64le());
   for (UtxoRow& row : rows) {
@@ -326,29 +350,17 @@ std::vector<UtxoRow> utxo_rows(util::ByteSpan checkpoint) {
   return rows;
 }
 
-/// `checkpoint` resealed, with valid CRCs, around `rows` as its UTXO section.
+/// `checkpoint` resealed around `rows` as its UTXO section.
 util::Bytes with_utxo_rows(util::ByteSpan checkpoint, const std::vector<UtxoRow>& rows) {
-  persist::CheckpointReader reader(checkpoint);
-  persist::CheckpointWriter writer;
-  std::size_t copied = 0;
-  for (std::uint32_t id = 1; copied < reader.section_count(); ++id) {
-    if (!reader.has_section(id)) continue;
-    ++copied;
-    util::ByteWriter& w = writer.begin_section(id);
-    if (id != kUtxoSection) {
-      util::ByteReader r = reader.section(id);
-      w.bytes(r.bytes(r.remaining()));
-      continue;
-    }
-    w.u64le(rows.size());
-    for (const UtxoRow& row : rows) {
-      row.outpoint.serialize(w);
-      w.i64le(row.value);
-      w.i32le(row.height);
-      w.var_bytes(row.script);
-    }
+  util::ByteWriter w;
+  w.u64le(rows.size());
+  for (const UtxoRow& row : rows) {
+    row.outpoint.serialize(w);
+    w.i64le(row.value);
+    w.i32le(row.height);
+    w.var_bytes(row.script);
   }
-  return std::move(writer).finish();
+  return with_section(checkpoint, kUtxoSection, std::move(w).take());
 }
 
 TEST(CheckpointCorruption, CanisterRejectsNonCanonicalUtxoRows) {
@@ -376,6 +388,81 @@ TEST(CheckpointCorruption, CanisterRejectsNonCanonicalUtxoRows) {
   std::swap(swapped[0], swapped[1]);
   EXPECT_EQ(restore_code(chain, with_utxo_rows(good, swapped)),
             persist::CheckpointError::Code::kMalformed);
+}
+
+/// The header section's headers (80 bytes each) or the unstable-block
+/// section's blocks (var_bytes each), after their varint count.
+std::vector<util::Bytes> section_items(util::ByteSpan checkpoint, std::uint32_t id) {
+  util::Bytes payload = section(checkpoint, id);
+  util::ByteReader r(payload);
+  std::vector<util::Bytes> items(r.varint());
+  for (util::Bytes& item : items) {
+    if (id == kBlockSection) {
+      item = r.var_bytes();
+    } else {
+      util::ByteSpan header = r.bytes(80);
+      item.assign(header.begin(), header.end());
+    }
+  }
+  return items;
+}
+
+/// `checkpoint` resealed around `items` as section `id` (see section_items).
+util::Bytes with_items(util::ByteSpan checkpoint, std::uint32_t id,
+                       const std::vector<util::Bytes>& items) {
+  util::ByteWriter w;
+  w.varint(items.size());
+  for (const util::Bytes& item : items) {
+    if (id == kBlockSection) {
+      w.var_bytes(item);
+    } else {
+      w.bytes(item);
+    }
+  }
+  return with_section(checkpoint, id, std::move(w).take());
+}
+
+TEST(CheckpointCorruption, CanisterRejectsNonCanonicalUnstableBlocks) {
+  ForkChain chain(7);
+  BitcoinCanister writer(chain.params, CanisterConfig::for_params(chain.params));
+  chain.run(writer, 15);
+  util::Bytes good = writer.write_checkpoint();
+  std::vector<util::Bytes> blocks = section_items(good, kBlockSection);
+  ASSERT_EQ(blocks.size(), writer.unstable_block_count());
+  ASSERT_GE(blocks.size(), 2u);
+  ASSERT_EQ(with_items(good, kBlockSection, blocks), good);  // resealing alone changes nothing
+
+  // Restored naively, a repeated block is skipped and a swapped pair sorted
+  // away: the canister would write back other bytes than it read.
+  std::vector<util::Bytes> repeated(blocks.size() + 1);
+  std::copy(blocks.begin(), blocks.end(), repeated.begin() + 1);
+  repeated[0] = blocks[0];
+  EXPECT_EQ(restore_code(chain, with_items(good, kBlockSection, repeated)),
+            persist::CheckpointError::Code::kMalformed);
+
+  std::vector<util::Bytes> swapped = blocks;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_EQ(restore_code(chain, with_items(good, kBlockSection, swapped)),
+            persist::CheckpointError::Code::kMalformed);
+}
+
+TEST(CheckpointCorruption, CanisterRejectsNonCanonicalHeaders) {
+  ForkChain chain(7);
+  BitcoinCanister writer(chain.params, CanisterConfig::for_params(chain.params));
+  chain.run(writer, 15);
+  util::Bytes good = writer.write_checkpoint();
+  std::vector<util::Bytes> headers = section_items(good, kHeaderSection);
+  ASSERT_GE(headers.size(), 7u);
+  ASSERT_EQ(with_items(good, kHeaderSection, headers), good);  // resealing alone changes nothing
+
+  // The writer's order is ascending (height, hash); each swap breaks it.
+  for (auto [a, b] : {std::pair{0, 1}, std::pair{3, 4}, std::pair{5, 6}}) {
+    SCOPED_TRACE(testing::Message() << "headers " << a << " and " << b << " swapped");
+    std::vector<util::Bytes> swapped = headers;
+    std::swap(swapped[static_cast<std::size_t>(a)], swapped[static_cast<std::size_t>(b)]);
+    EXPECT_EQ(restore_code(chain, with_items(good, kHeaderSection, swapped)),
+              persist::CheckpointError::Code::kMalformed);
+  }
 }
 
 TEST(CheckpointCorruption, FileRoundTripAndMissingFile) {

@@ -127,8 +127,13 @@ TEST(SharedPoolTest, ReplacementDuringFlightIsSafe) {
   // out from under an in-flight run()).
   set_shared_pool(2);
   std::atomic<bool> stop{false};
+  std::atomic<bool> user_done{false};
   std::atomic<std::uint64_t> completed{0};
   std::thread user([&] {
+    struct Done {
+      std::atomic<bool>& flag;
+      ~Done() { flag.store(true); }
+    } done{user_done};  // also set when a failed ASSERT returns early
     while (!stop.load()) {
       std::shared_ptr<ThreadPool> pool = shared_pool_ref();
       if (pool == nullptr) continue;
@@ -138,15 +143,20 @@ TEST(SharedPoolTest, ReplacementDuringFlightIsSafe) {
       completed.fetch_add(1);
     }
   });
+  // Each replacement waits for a fan-out completed since the previous one,
+  // so every replacement races a user that is mid-flight or about to be,
+  // however busy the host.
+  std::uint64_t seen = 0;
   for (int i = 0; i < 50; ++i) {
+    while (completed.load() == seen && !user_done.load()) std::this_thread::yield();
+    seen = completed.load();
     set_shared_pool(1 + static_cast<std::size_t>(i % 3));
-    std::this_thread::yield();
   }
   stop.store(true);
   user.join();
   set_shared_pool(0);
   EXPECT_EQ(shared_pool(), nullptr);
-  EXPECT_GT(completed.load(), 0u);
+  EXPECT_GE(completed.load(), 50u);
 }
 
 TEST(ParallelMapTest, MatchesSerialResultForAnyThreadCount) {
