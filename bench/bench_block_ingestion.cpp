@@ -198,9 +198,9 @@ ModeResult replay(const ModeConfig& mode, const std::vector<util::Bytes>& warmup
 /// the instruction meter (2000 instructions/µs) and writes a Chrome trace of
 /// the ingestion spans — the per-block Algorithm 2 view of Fig. 6: delta
 /// build, anchor advance and shard-parallel apply. The warm-up blocks go in
-/// first, untraced. Runs with the shared pool installed so the traced
-/// parallel txid precompute shows up (and stays byte-identical to a serial
-/// replay).
+/// first, untraced. Runs with the shared pool installed, so the delta builds
+/// and applies fan out on it; the trace stays byte-identical to a serial
+/// replay.
 bool write_ingestion_trace(const std::vector<util::Bytes>& warmup,
                            const std::vector<util::Bytes>& stream) {
   auto traced = std::span(stream).first(std::min<std::size_t>(stream.size(), 40));
@@ -213,7 +213,8 @@ bool write_ingestion_trace(const std::vector<util::Bytes>& warmup,
   canister::BitcoinCanister canister(params, canister::CanisterConfig::for_params(params));
   bool ok = feed(canister, warmup, "warm-up");
   ic::InstructionMeter& meter = canister.meter();
-  tracer.set_clock([&meter] { return static_cast<obs::TraceTime>(meter.count() / 2000); });
+  tracer.set_clock(
+      [&meter] { return static_cast<obs::TraceTime>(meter.count() / ic::kInstructionsPerUs); });
   canister.set_tracer(&tracer);
   parallel::set_shared_pool(4);
   ok &= feed(canister, traced, "traced");

@@ -1,13 +1,14 @@
-// Million-user open-loop load harness: drives the SLO observability layer
-// (src/obs/slo) with the paper's three public endpoints over a synthetic
-// address population with a Zipfian hot set, sweeping offered rate to find
-// the saturation throughput.
+// Million-user open-loop load harness: drives the SLO verdicts (src/obs/slo,
+// a view over the metrics registry) with the paper's three public endpoints
+// over a synthetic address population with a Zipfian hot set, sweeping
+// offered rate to find the saturation throughput.
 //
 // Pipeline:
 //   1. Warm-up: a real btcnet harness + ic::Subnet + BitcoinIntegration runs
 //      the consensus round loop for a few virtual minutes so the
-//      "adapter.handle_request" and "ic.round_dispatch" SLO endpoints see
-//      their production traffic shape.
+//      "adapter.handle_request" and "ic.round_dispatch" SLO endpoints (the
+//      registry histograms their set_metrics() wires) see their production
+//      traffic shape.
 //   2. Population: a direct canister is dealt `population` distinct
 //      addresses — a hot set with the paper's UTXO-count skew plus a long
 //      one-UTXO cold tail — through synthetic blocks, ingested with the
@@ -21,16 +22,18 @@
 //      server per replica); the highest point that is non-saturated AND
 //      inside the p99 target (SLO-constrained capacity) becomes the
 //      operating point whose latencies feed the "load.<endpoint>" SLO
-//      endpoints. A closed-loop control arm at the over-capacity point
-//      demonstrates how coordinated omission understates p99.
+//      endpoints (`load.<endpoint>.latency_us`). A closed-loop control arm at
+//      the over-capacity point demonstrates how coordinated omission
+//      understates p99.
 //   5. Report: BENCH_load.json (ICBTC_BENCH_OUT) and a full metrics
 //      snapshot incl. slo.* gauges (ICBTC_METRICS_JSON, default
 //      BENCH_load_metrics.json). Both are byte-identical across runs —
 //      nothing wall-clock-dependent is written to either artifact.
 //
-// The SLO-tracker overhead gate (median per-pair on/off time delta < 5%
-// over 15 alternating pairs) runs in full mode only and reports to stdout +
-// exit code, never into the JSON.
+// The observability overhead gate (canister get_balance with the metrics
+// registry attached vs detached; median per-pair on/off time delta < 5% over
+// 15 alternating pairs) runs in full mode only and reports to stdout + exit
+// code, never into the JSON.
 // ICBTC_BENCH_QUICK=1 shrinks the population for CI smoke runs.
 #include <algorithm>
 #include <chrono>
@@ -56,8 +59,6 @@ namespace {
 using namespace icbtc;
 using namespace icbtc::bench;
 
-/// The IC execution layer's deterministic-time model: 2e9 instructions/s.
-constexpr double kInstructionsPerUs = 2000.0;
 /// Fixed per-request dispatch overhead (network + scheduling) added on top
 /// of the metered execution time; keeps tiny queries from implying absurd
 /// capacity. Matches the order of the subnet's query scheduling slice.
@@ -77,7 +78,7 @@ struct LoadParams {
 // production traffic shape (consensus rounds pulling blocks from btcnet).
 // ---------------------------------------------------------------------------
 
-void run_warmup(obs::MetricsRegistry& registry, obs::SloTracker& slo, std::uint64_t seed) {
+void run_warmup(obs::MetricsRegistry& registry, std::uint64_t seed) {
   const bitcoin::ChainParams& params = bitcoin::ChainParams::regtest();
   util::Simulation sim;
   btcnet::BitcoinNetworkConfig netcfg;
@@ -98,12 +99,10 @@ void run_warmup(obs::MetricsRegistry& registry, obs::SloTracker& slo, std::uint6
   icfg.canister = canister::CanisterConfig::for_params(params);
   canister::BitcoinIntegration integration(subnet, harness.network(), params, icfg, seed + 2);
   subnet.set_metrics(&registry);
-  subnet.set_slo(&slo);
   integration.canister().set_metrics(&registry);
   for (std::size_t i = 0; i < integration.num_adapters(); ++i) {
     integration.adapter_of(static_cast<std::uint32_t>(i)).set_metrics(&registry);
   }
-  integration.set_slo(&slo);
   subnet.start();
   integration.start();
   sim.run_until(sim.now() + 180 * util::kSecond);
@@ -234,7 +233,7 @@ struct ServiceModel {
     ic::InstructionMeter::Segment segment(canister->meter());
     call();
     ++measurements;
-    return static_cast<double>(segment.sample()) / kInstructionsPerUs;
+    return static_cast<double>(segment.sample()) / ic::kInstructionsPerUs;
   }
 
   double operator()(const LoadRequest& req) {
@@ -295,48 +294,49 @@ struct SweepPoint {
 };
 
 // ---------------------------------------------------------------------------
-// SLO-tracker overhead gate: wall-clock only, never in the JSON artifacts.
+// Observability overhead gate: wall-clock only, never in the JSON artifacts.
+// It bounds all per-call metrics work (call counter, instruction and latency
+// histograms), the SLO record included.
 // ---------------------------------------------------------------------------
 
-bool run_overhead_gate(canister::BitcoinCanister& canister,
+bool run_overhead_gate(canister::BitcoinCanister& canister, obs::MetricsRegistry& registry,
                        const std::vector<std::string>& addresses, std::size_t hot) {
   // Short arms (~0.3 s each on a 4-vCPU host) let a stall spoil few pairs;
   // 15 pairs plus the warm-up keep the gate near 10 s.
   const std::size_t kCalls = 20'000;
   const int kPairs = 15;
-  auto run_once = [&](obs::SloTracker* tracker) {
-    canister.set_slo(tracker);
+  auto run_once = [&](obs::MetricsRegistry* attached) {
+    canister.set_metrics(attached);
     auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < kCalls; ++i) {
       canister.get_balance(addresses[i % hot]);
     }
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   };
-  obs::SloTracker gate_tracker;
   // One untimed pass per arm warms the caches. Each pair then times the two
   // arms back to back, alternating which goes first, so a host stall lands
   // in one pair's ratio instead of in one arm's total; the gate reads the
   // median of the per-pair on/off ratios.
   run_once(nullptr);
-  run_once(&gate_tracker);
+  run_once(&registry);
   std::vector<double> ratios;
   for (int pair = 0; pair < kPairs; ++pair) {
     double off = 0, on = 0;
     if (pair % 2 == 0) {
       off = run_once(nullptr);
-      on = run_once(&gate_tracker);
+      on = run_once(&registry);
     } else {
-      on = run_once(&gate_tracker);
+      on = run_once(&registry);
       off = run_once(nullptr);
     }
     ratios.push_back(on / off);
   }
-  canister.set_slo(nullptr);
+  canister.set_metrics(&registry);
   std::sort(ratios.begin(), ratios.end());
   double delta_pct = (percentile(ratios, 50) - 1.0) * 100.0;
   double iqr_pct = (percentile(ratios, 75) - percentile(ratios, 25)) * 100.0;
-  std::printf("slo overhead gate: median on/off delta %+.2f%% over %d pairs (IQR %.2f%%) "
-              "(gate < 5%%): %s\n",
+  std::printf("observability overhead gate: median on/off delta %+.2f%% over %d pairs "
+              "(IQR %.2f%%) (gate < 5%%): %s\n",
               delta_pct, kPairs, iqr_pct, delta_pct < 5.0 ? "OK" : "FAIL");
   return delta_pct < 5.0;
 }
@@ -356,9 +356,8 @@ int run() {
               p.population, p.hot, p.requests_per_point, p.servers);
 
   obs::MetricsRegistry registry;
-  obs::SloTracker slo;
 
-  run_warmup(registry, slo, p.seed);
+  run_warmup(registry, p.seed);
 
   parallel::set_shared_pool(3);
   parallel::shared_pool()->set_metrics(&registry);
@@ -372,7 +371,6 @@ int run() {
 
   auto& canister = *pop.canister;
   canister.set_metrics(&registry);
-  canister.set_slo(&slo);
 
   // Deterministic service model + capacity estimate from a probe schedule.
   ServiceModel service(canister, pop.addresses);
@@ -443,24 +441,25 @@ int run() {
               saturation_rps, sweep[operating_idx].offered_rps);
 
   // Re-run the operating point to split latencies per endpoint and feed the
-  // load.* SLO endpoints (cached service times make this cheap).
+  // load.* SLO histograms (cached service times make this cheap).
   util::Rng op_rng(p.seed * 1000003 + operating_idx);
   auto op_schedule = make_open_loop_schedule(capacity_rps * kSweep[operating_idx],
                                              p.requests_per_point, mix, zipf, op_rng);
   auto op_result = simulate_open_loop(op_schedule, p.servers,
                                       [&](const LoadRequest& r) { return service(r); });
-  obs::SloTracker::Endpoint* load_eps[kNumLoadEndpoints] = {
-      &slo.endpoint("load.get_utxos", query_target),
-      &slo.endpoint("load.get_balance", query_target),
-      &slo.endpoint("load.send_transaction", query_target),
-  };
+  obs::SloTargets targets;
+  obs::Histogram* load_latency[kNumLoadEndpoints];
+  for (std::size_t e = 0; e < kNumLoadEndpoints; ++e) {
+    std::string endpoint = std::string("load.") + to_string(static_cast<LoadEndpoint>(e));
+    load_latency[e] = &registry.histogram(endpoint + ".latency_us");
+    targets[endpoint] = query_target;
+  }
   std::vector<double> by_endpoint[kNumLoadEndpoints];
   for (std::size_t i = 0; i < op_schedule.size(); ++i) {
     std::size_t e = static_cast<std::size_t>(op_schedule[i].endpoint);
     by_endpoint[e].push_back(op_result.latency_us[i]);
-    load_eps[e]->record(static_cast<std::uint64_t>(std::llround(op_result.latency_us[i])));
+    load_latency[e]->record(static_cast<std::uint64_t>(std::llround(op_result.latency_us[i])));
   }
-  slo.roll_window();
 
   Tail op_tails[kNumLoadEndpoints];
   for (std::size_t e = 0; e < kNumLoadEndpoints; ++e) op_tails[e] = tail_of(by_endpoint[e]);
@@ -479,11 +478,12 @@ int run() {
               "closed-loop p99 %.1fus (understated %.1fx)\n",
               sweep.back().offered_rps, open_tail.p99, closed_tail.p99, understatement);
 
-  // SLO verdicts over everything the tracker saw: warm-up adapter/subnet
-  // endpoints, canister endpoints, and the load.* operating point.
+  // SLO verdicts over every latency histogram in the registry: warm-up
+  // adapter/subnet endpoints, canister endpoints, and the load.* operating
+  // point.
   std::printf("\n%-26s %10s %8s %10s %10s %10s  %s\n", "slo endpoint", "requests", "errors",
               "p50 us", "p99 us", "p99.9 us", "verdict");
-  auto verdicts = slo.verdicts();
+  auto verdicts = obs::slo_verdicts(registry, targets);
   for (const auto& v : verdicts) {
     std::printf("%-26s %10llu %8llu %10llu %10llu %10llu  %s\n", v.endpoint.c_str(),
                 static_cast<unsigned long long>(v.requests),
@@ -566,7 +566,7 @@ int run() {
   bool ok = true;
   if (!write_file("ICBTC_BENCH_OUT", "BENCH_load.json", body, "load bench")) ok = false;
 
-  slo.publish(registry);
+  obs::publish_slo(registry, targets);
   std::string metrics_json = obs::to_json(registry);
   if (!write_file("ICBTC_METRICS_JSON", "BENCH_load_metrics.json", metrics_json,
                   "load metrics snapshot")) {
@@ -576,8 +576,8 @@ int run() {
   // Wall-clock gate last: its numbers go to stdout + exit code only, so the
   // artifacts above stay byte-identical across runs.
   if (p.quick) {
-    std::printf("slo overhead gate: skipped (quick mode)\n");
-  } else if (!run_overhead_gate(canister, pop.addresses, p.hot)) {
+    std::printf("observability overhead gate: skipped (quick mode)\n");
+  } else if (!run_overhead_gate(canister, registry, pop.addresses, p.hot)) {
     ok = false;
   }
 

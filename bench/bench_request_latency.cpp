@@ -170,7 +170,8 @@ Figure7Result run_figure7() {
   tracer_config.event_capacity = 512;
   obs::Tracer tracer(tracer_config);
   ic::InstructionMeter& meter = fx.canister.meter();
-  tracer.set_clock([&meter] { return static_cast<obs::TraceTime>(meter.count() / 2000); });
+  tracer.set_clock(
+      [&meter] { return static_cast<obs::TraceTime>(meter.count() / ic::kInstructionsPerUs); });
   fx.canister.set_tracer(&tracer);
 
   std::vector<double> rep_balance, rep_utxos, q_balance, q_utxos;

@@ -17,6 +17,21 @@ using btcnet::MsgTx;
 using btcnet::NodeId;
 using util::Hash256;
 
+namespace {
+/// Outbound transactions expire from the cache after 10 minutes (§III-B).
+constexpr util::SimTime kTxCacheExpiry = 10 * util::kMinute;
+/// Recently observed transactions are kept this long for compact-block
+/// reconstruction.
+constexpr util::SimTime kRecentTxExpiry = 10 * util::kMinute;
+/// Retry interval for unanswered block requests.
+constexpr util::SimTime kBlockRequestRetry = 5 * util::kSecond;
+/// Period of the address/connection maintenance timer.
+constexpr util::SimTime kMaintenanceInterval = 2 * util::kSecond;
+/// Modelled serving cost of a request with an unknown anchor: the fixed
+/// dispatch cost alone (see handle_request).
+constexpr std::uint64_t kDispatchUs = 20;
+}  // namespace
+
 AdapterConfig AdapterConfig::for_params(const bitcoin::ChainParams& params) {
   AdapterConfig c;
   c.outbound_connections = params.outbound_connections;
@@ -54,6 +69,8 @@ void BitcoinAdapter::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.block_request_retries = &registry->counter("adapter.block_request_retries");
   metrics_.pending_block_requests = &registry->gauge("adapter.pending_block_requests");
   metrics_.requests_handled = &registry->counter("adapter.requests_handled");
+  metrics_.request_latency_us = &registry->histogram("adapter.handle_request.latency_us");
+  metrics_.request_errors = &registry->counter("adapter.handle_request.errors");
   metrics_.tx_cache_size = &registry->gauge("adapter.tx_cache.size");
   metrics_.tx_cached = &registry->counter("adapter.tx_cache.added");
   metrics_.tx_delivered = &registry->counter("adapter.tx_cache.delivered");
@@ -71,10 +88,6 @@ void BitcoinAdapter::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.blocks_stored->set(static_cast<std::int64_t>(blocks_.size()));
   metrics_.tx_cache_size->set(static_cast<std::int64_t>(tx_cache_.size()));
   metrics_.pending_block_requests->set(static_cast<std::int64_t>(pending_blocks_.size()));
-}
-
-void BitcoinAdapter::set_slo(obs::SloTracker* slo) {
-  slo_requests_ = slo == nullptr ? nullptr : &slo->endpoint("adapter.handle_request");
 }
 
 std::int64_t BitcoinAdapter::now_s() const {
@@ -120,7 +133,7 @@ void BitcoinAdapter::maintain() {
   // Retry stale block requests.
   for (auto& [hash, pending] : pending_blocks_) {
     if (pending.last_request >= 0 &&
-        network_->sim().now() - pending.last_request < config_.block_request_retry) {
+        network_->sim().now() - pending.last_request < kBlockRequestRetry) {
       continue;
     }
     auto peer = random_peer();
@@ -139,7 +152,7 @@ void BitcoinAdapter::maintain() {
   }
 
   maintenance_timer_ =
-      network_->sim().schedule(config_.maintenance_interval, [this] { maintain(); });
+      network_->sim().schedule(kMaintenanceInterval, [this] { maintain(); });
 }
 
 void BitcoinAdapter::request_addresses() {
@@ -177,7 +190,6 @@ void BitcoinAdapter::open_connections() {
 
 void BitcoinAdapter::on_disconnected(NodeId peer) {
   connections_.erase(peer);
-  recon_sets_.erase(peer);
   if (metrics_.peers != nullptr) metrics_.peers->set(static_cast<std::int64_t>(connections_.size()));
 }
 
@@ -267,13 +279,6 @@ void BitcoinAdapter::handle_inv(NodeId from, const MsgInv& msg) {
   // Transaction inventory only matters for compact block fetch: the adapter
   // then maintains a pool of recently relayed transactions to reconstruct
   // compact blocks from. Otherwise it only pushes canister transactions out.
-  // Either way, the announcer holds these: drop them from its pending set.
-  if (config_.recon_relay) {
-    auto set = recon_sets_.find(from);
-    if (set != recon_sets_.end()) {
-      for (const auto& txid : msg.tx_ids) set->second.remove(txid);
-    }
-  }
   if (!config_.compact_block_fetch) return;
   MsgGetData request;
   for (const auto& txid : msg.tx_ids) observe_tx_announcement(from, txid, request);
@@ -290,64 +295,23 @@ void BitcoinAdapter::observe_tx_announcement(NodeId from, const Hash256& txid,
   request.tx_ids.push_back(txid);
 }
 
-reconcile::ReconSet& BitcoinAdapter::recon_set(NodeId peer) {
-  auto it = recon_sets_.find(peer);
-  if (it == recon_sets_.end()) {
-    it = recon_sets_
-             .emplace(peer,
-                      reconcile::ReconSet(reconcile::link_salt(id_, peer, config_.relay_salt)))
-             .first;
-  }
-  return it->second;
-}
-
 void BitcoinAdapter::handle_recon_sketch(NodeId from, const btcnet::MsgReconSketch& msg) {
-  // Passive responder: answer with our pending set for this link (canister
-  // transactions when recon_relay is on, empty otherwise — an empty set
-  // still decodes the initiator's side, which is what keeps node rounds
-  // from timing out against an adapter peer).
-  reconcile::ReconSet& set = recon_set(from);
-  std::size_t mine_before = set.part_size(msg.part);
-  reconcile::ReconDiffResult result = reconcile::respond_to_sketch(set, msg.sketch, msg.part);
-  btcnet::MsgReconDiff reply{msg.round, msg.part, result.decode_failed,
-                             static_cast<std::uint32_t>(mine_before),
-                             0,
-                             {},
-                             {}};
-  std::vector<const bitcoin::Transaction*> push;
-  if (!result.decode_failed) {
-    reply.want = std::move(result.want);
-    for (const auto& [short_id, txid] : result.have) {
-      // The decoded sketch proves the peer lacks this transaction: push the
-      // body outright instead of announcing the txid for a getdata pull.
-      auto cached = tx_cache_.find(txid);
-      if (cached != tx_cache_.end()) {
-        ++reply.have_count;
-        push.push_back(&cached->second.tx);
-        if (cached->second.delivered_to.insert(from).second &&
-            metrics_.tx_delivered != nullptr) {
-          metrics_.tx_delivered->inc();
-        }
-      } else {
-        reply.have_txs.push_back(txid);  // evicted from the cache mid-round
-      }
-    }
-  }
+  // Passive responder: the adapter pushes canister transactions by inv, so
+  // its side of every link is empty. An empty set still decodes the
+  // initiator's side, which keeps node rounds from timing out against an
+  // adapter peer; the reply only lists what the initiator holds.
+  reconcile::ReconSet empty(reconcile::link_salt(id_, from, reconcile::kRelaySalt));
+  reconcile::ReconDiffResult result = reconcile::respond_to_sketch(empty, msg.sketch, msg.part);
+  btcnet::MsgReconDiff reply{msg.round, msg.part, result.decode_failed, 0, 0, {}, {}};
+  if (!result.decode_failed) reply.want = std::move(result.want);
   if (metrics_.recon_sketches_answered != nullptr) metrics_.recon_sketches_answered->inc();
   network_->send(id_, from, std::move(reply));
-  for (const bitcoin::Transaction* tx : push) network_->send(id_, from, btcnet::MsgTx{*tx});
 }
 
 void BitcoinAdapter::handle_recon_finalize(NodeId from, const btcnet::MsgReconFinalize& msg) {
   // The initiator's exclusive transactions: pull them into the recent pool
   // (the reconciliation-era replacement for learning the mempool via
   // flooded invs).
-  if (config_.recon_relay) {
-    auto set = recon_sets_.find(from);
-    if (set != recon_sets_.end()) {
-      for (const auto& txid : msg.tx_ids) set->second.remove(txid);
-    }
-  }
   if (!config_.compact_block_fetch) return;
   MsgGetData request;
   for (const auto& txid : msg.tx_ids) observe_tx_announcement(from, txid, request);
@@ -362,7 +326,7 @@ void BitcoinAdapter::handle_tx(const btcnet::MsgTx& msg) {
   requested_txs_.erase(txid);
   if (!config_.compact_block_fetch || !msg.tx.is_well_formed()) return;
   recent_txs_.emplace(txid,
-                      RecentTx{msg.tx, network_->sim().now() + config_.recent_tx_expiry});
+                      RecentTx{msg.tx, network_->sim().now() + kRecentTxExpiry});
   if (metrics_.recent_tx_pool != nullptr) {
     metrics_.recent_tx_pool->set(static_cast<std::int64_t>(recent_txs_.size()));
   }
@@ -509,13 +473,7 @@ void BitcoinAdapter::advertise_transactions() {
   for (auto& [txid, cached] : tx_cache_) {
     for (NodeId peer : connections_) {
       if (cached.delivered_to.contains(peer)) continue;
-      if (config_.recon_relay) {
-        // Queue for the next sketch the peer initiates: the tx shows up as
-        // a `have` entry in our diff and the body is pushed outright.
-        recon_set(peer).add(txid);
-      } else {
-        network_->send(id_, peer, MsgInv{{}, {txid}});
-      }
+      network_->send(id_, peer, MsgInv{{}, {txid}});
     }
   }
 }
@@ -562,7 +520,7 @@ AdapterResponse BitcoinAdapter::handle_request(const AdapterRequest& request) {
       Hash256 txid = tx.txid();
       if (!tx_cache_.contains(txid)) {
         tx_cache_.emplace(txid, CachedTx{std::move(tx),
-                                         network_->sim().now() + config_.tx_cache_expiry,
+                                         network_->sim().now() + kTxCacheExpiry,
                                          {}});
         if (metrics_.tx_cached != nullptr) {
           metrics_.tx_cached->inc();
@@ -581,7 +539,10 @@ AdapterResponse BitcoinAdapter::handle_request(const AdapterRequest& request) {
     span.attr("outcome", "unknown_anchor");
     span.event(obs::Severity::kWarn, "adapter.unknown_anchor");
     // Still a served round-trip: count it against the SLO as an error.
-    if (slo_requests_ != nullptr) slo_requests_->record(20, /*error=*/true);
+    if (metrics_.request_latency_us != nullptr) {
+      metrics_.request_latency_us->record(kDispatchUs);
+      metrics_.request_errors->inc();
+    }
     return response;  // unknown anchor: nothing to serve
   }
 
@@ -630,13 +591,13 @@ AdapterResponse BitcoinAdapter::handle_request(const AdapterRequest& request) {
   span.attr("blocks", static_cast<std::uint64_t>(response.blocks.size()));
   span.attr("headers", static_cast<std::uint64_t>(response.next_headers.size()));
   span.attr("bytes", static_cast<std::uint64_t>(total_bytes));
-  if (slo_requests_ != nullptr) {
-    // Modelled serving latency: 20 µs fixed dispatch cost, 1 µs per 256
-    // bytes of block payload copied out, 2 µs per upcoming header walked.
+  if (metrics_.request_latency_us != nullptr) {
+    // Modelled serving latency: the fixed dispatch cost, 1 µs per 256 bytes
+    // of block payload copied out, 2 µs per upcoming header walked.
     // Deterministic by construction (no wall clock).
-    std::uint64_t latency_us = 20 + static_cast<std::uint64_t>(total_bytes) / 256 +
-                               2 * static_cast<std::uint64_t>(response.next_headers.size());
-    slo_requests_->record(latency_us);
+    metrics_.request_latency_us->record(
+        kDispatchUs + static_cast<std::uint64_t>(total_bytes) / 256 +
+        2 * static_cast<std::uint64_t>(response.next_headers.size()));
   }
   return response;
 }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -19,7 +18,6 @@
 #include "btcnet/network.h"
 #include "chain/header_tree.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 #include "reconcile/compact_block.h"
 #include "reconcile/recon_set.h"
@@ -42,28 +40,11 @@ struct AdapterConfig {
   /// are required for the §IV-A downtime defence). The production adapter
   /// hardcodes a mainnet height; harnesses set it per experiment.
   int multi_block_below_height = 0;
-  /// Outbound transactions expire from the cache after this long.
-  util::SimTime tx_cache_expiry = 10 * util::kMinute;
   /// Fetch blocks as compact blocks (header + short ids + IBLT sketch, see
   /// src/reconcile), reconstructed from a pool of recently relayed
   /// transactions the adapter starts tracking when this is on. Falls back to
   /// full blocks when reconstruction fails.
   bool compact_block_fetch = false;
-  /// Recently observed transactions are kept this long for reconstruction.
-  util::SimTime recent_tx_expiry = 10 * util::kMinute;
-  /// Retry interval for unanswered block requests.
-  util::SimTime block_request_retry = 5 * util::kSecond;
-  /// Period of the address/connection maintenance timer.
-  util::SimTime maintenance_interval = 2 * util::kSecond;
-  /// Network-wide relay seed; must match the nodes' NodeOptions::relay_salt
-  /// so both ends of a link derive the same short-id space. The adapter
-  /// always *answers* reconciliation sketches (it is a passive responder —
-  /// it never runs a cadence of its own).
-  std::uint64_t relay_salt = 0x69636274u;
-  /// Queue outbound (canister) transactions into the per-peer
-  /// reconciliation sets instead of periodically inv-flooding them; they
-  /// then ride out as `have` entries of the next sketch a peer sends.
-  bool recon_relay = false;
 
   static AdapterConfig for_params(const bitcoin::ChainParams& params);
 };
@@ -119,7 +100,13 @@ class BitcoinAdapter : public btcnet::Endpoint {
   AdapterResponse handle_request(const AdapterRequest& request);
 
   /// Attaches a metrics registry (nullptr detaches): peer connections,
-  /// header-sync progress, block-request retries, tx-cache size/evictions.
+  /// header-sync progress, block-request retries, tx-cache size/evictions,
+  /// and the "adapter.handle_request" SLO record (see obs/slo.h): each
+  /// Algorithm 1 round-trip's modelled serving latency in
+  /// `adapter.handle_request.latency_us` (µs; a base cost plus per-byte and
+  /// per-header terms, a model of adapter-side work rather than a wall-clock
+  /// measurement, so exports stay byte-identical across runs), and requests
+  /// with an unknown anchor in `adapter.handle_request.errors`.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): an "adapter.handle_request" span
@@ -127,13 +114,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   /// and flight-recorder events for block-request retries and full-block
   /// fallbacks.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Attaches an SLO tracker (nullptr detaches): each Algorithm 1 round-trip
-  /// records a deterministic modelled serving latency (µs; a base cost plus
-  /// per-byte and per-header terms — a model of adapter-side work, not a
-  /// wall-clock measurement, so exports stay byte-identical across runs)
-  /// into the tracker's "adapter.handle_request" endpoint.
-  void set_slo(obs::SloTracker* slo);
 
   // Introspection.
   const chain::HeaderTree& header_tree() const { return tree_; }
@@ -169,7 +149,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   /// reconciliation observation path).
   void observe_tx_announcement(btcnet::NodeId from, const util::Hash256& txid,
                                btcnet::MsgGetData& request);
-  reconcile::ReconSet& recon_set(btcnet::NodeId peer);
   /// Stores a fully validated block and clears its pending-request entry.
   void store_block(bitcoin::Block block);
   /// Re-requests `hash` as a full block after compact reconstruction failed.
@@ -226,11 +205,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   std::unordered_map<util::Hash256, RecentTx> recent_txs_;
   std::unordered_set<util::Hash256> requested_txs_;
 
-  /// Per-peer reconciliation sets (the transactions this adapter holds and
-  /// the peer may lack), answered against incoming sketches. std::map keeps
-  /// responses deterministic.
-  std::map<btcnet::NodeId, reconcile::ReconSet> recon_sets_;
-
   // Compact blocks waiting for a getblocktxn answer.
   struct PendingCompact {
     reconcile::CompactBlock compact;
@@ -251,6 +225,8 @@ class BitcoinAdapter : public btcnet::Endpoint {
     /// Saturation signal: blocks requested from peers but not yet stored.
     obs::Gauge* pending_block_requests = nullptr;
     obs::Counter* requests_handled = nullptr;
+    obs::Histogram* request_latency_us = nullptr;
+    obs::Counter* request_errors = nullptr;
     obs::Gauge* tx_cache_size = nullptr;
     obs::Counter* tx_cached = nullptr;
     obs::Counter* tx_delivered = nullptr;
@@ -266,7 +242,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   };
   Metrics metrics_;
   obs::Tracer* tracer_ = nullptr;
-  obs::SloTracker::Endpoint* slo_requests_ = nullptr;
 };
 
 }  // namespace icbtc::adapter

@@ -13,6 +13,17 @@ using bitcoin::OutPoint;
 using bitcoin::Transaction;
 using util::Hash256;
 
+namespace {
+/// Maximum addresses returned to a getaddr.
+constexpr std::size_t kMaxAddrResponse = 1000;
+/// Maximum entries announced or requested per inv/getdata.
+constexpr std::size_t kMaxInv = 500;
+/// A reconciliation round with no response after this long is abandoned
+/// (its snapshot is re-queued); three consecutive timeouts park the link
+/// until it reconnects or new transactions arrive.
+constexpr util::SimTime kReconTimeout = 10 * util::kSecond;
+}  // namespace
+
 BitcoinNode::BitcoinNode(Network& network, const bitcoin::ChainParams& params,
                          NodeOptions options, bool ipv6)
     : network_(&network),
@@ -168,11 +179,11 @@ void BitcoinNode::on_disconnected(NodeId peer) {
 }
 
 void BitcoinNode::send_tx_inv_chunked(NodeId peer, const std::vector<Hash256>& txids) {
-  for (std::size_t i = 0; i < txids.size(); i += options_.max_inv) {
+  for (std::size_t i = 0; i < txids.size(); i += kMaxInv) {
     MsgInv inv;
     inv.tx_ids.assign(txids.begin() + static_cast<std::ptrdiff_t>(i),
                       txids.begin() +
-                          static_cast<std::ptrdiff_t>(std::min(i + options_.max_inv, txids.size())));
+                          static_cast<std::ptrdiff_t>(std::min(i + kMaxInv, txids.size())));
     network_->send(id_, peer, std::move(inv));
   }
 }
@@ -234,7 +245,7 @@ void BitcoinNode::handle_headers(NodeId from, const MsgHeaders& msg) {
     }
     Hash256 hash = header.hash();
     if (!blocks_.contains(hash) && !requested_blocks_.contains(hash) &&
-        !pending_compact_.contains(hash) && request.block_hashes.size() < options_.max_inv) {
+        !pending_compact_.contains(hash) && request.block_hashes.size() < kMaxInv) {
       requested_blocks_.insert(hash);
       request.block_hashes.push_back(hash);
     }
@@ -304,7 +315,7 @@ void BitcoinNode::handle_tx(NodeId from, const MsgTx& msg) {
 }
 
 void BitcoinNode::handle_get_addr(NodeId from) {
-  auto addresses = network_->sample_addresses(options_.max_addr_response, network_->rng());
+  auto addresses = network_->sample_addresses(kMaxAddrResponse, network_->rng());
   network_->send(id_, from, MsgAddr{std::move(addresses)});
 }
 
@@ -796,7 +807,7 @@ void BitcoinNode::announce_tx(const Hash256& txid, NodeId except) {
       if (!already_has(peer)) eligible.push_back(peer);
     }
     std::vector<NodeId> targets = reconcile::select_fanout_peers(
-        txid, eligible, options_.flood_fanout, options_.relay_salt);
+        txid, eligible, options_.flood_fanout, reconcile::kRelaySalt);
     for (NodeId peer : eligible) {
       if (std::binary_search(targets.begin(), targets.end(), peer)) {
         network_->send(id_, peer, MsgInv{{}, {txid}});
@@ -821,7 +832,7 @@ BitcoinNode::ReconLink& BitcoinNode::recon_link(NodeId peer) {
   auto it = recon_links_.find(peer);
   if (it == recon_links_.end()) {
     ReconLink link;
-    link.set = reconcile::ReconSet(reconcile::link_salt(id_, peer, options_.relay_salt));
+    link.set = reconcile::ReconSet(reconcile::link_salt(id_, peer, reconcile::kRelaySalt));
     it = recon_links_.emplace(peer, std::move(link)).first;
   }
   return it->second;
@@ -907,7 +918,7 @@ void BitcoinNode::start_recon_round(NodeId peer, ReconLink& link) {
   }
   network_->send(id_, peer, std::move(msg));
   std::uint32_t round = link.round;
-  link.timeout = network_->sim().schedule(options_.recon_timeout, [this, peer, round] {
+  link.timeout = network_->sim().schedule(kReconTimeout, [this, peer, round] {
     auto it = recon_links_.find(peer);
     if (it == recon_links_.end() || !it->second.round_active || it->second.round != round) return;
     fail_recon_round(peer, it->second);

@@ -37,10 +37,6 @@ enum class TxRelayMode {
 };
 
 struct NodeOptions {
-  /// Maximum addresses returned to a getaddr.
-  std::size_t max_addr_response = 1000;
-  /// Maximum blocks announced per inv.
-  std::size_t max_inv = 500;
   /// Block relay mode. Nodes always *accept* compact blocks; this selects
   /// what they send.
   BlockRelayMode relay_mode = BlockRelayMode::kFull;
@@ -54,13 +50,6 @@ struct NodeOptions {
   /// Reconciliation cadence. Ticks land on staggered per-node phases of this
   /// interval (simulated time, so traces stay byte-identical).
   util::SimTime recon_interval = 2 * util::kSecond;
-  /// A round with no response after this long is abandoned (its snapshot is
-  /// re-queued); three consecutive timeouts park the link until it
-  /// reconnects or new transactions arrive.
-  util::SimTime recon_timeout = 10 * util::kSecond;
-  /// Network-wide seed all per-link short-id salts and fanout ranks derive
-  /// from.
-  std::uint64_t relay_salt = 0x69636274u;
 
   // Fee-market policy. The zero defaults keep the legacy permissive mempool
   // (no floor, no cap, no expiry); RBF only changes behaviour when a

@@ -14,13 +14,7 @@ namespace icbtc::canister {
 using bitcoin::Block;
 using util::Hash256;
 
-namespace {
-/// Modelled deterministic execution rate used to convert instruction counts
-/// into simulated latency (≈2B instructions per second of replicated
-/// execution, the rate behind the paper's §IV-B latency figures).
-constexpr double kInstructionsPerMs = 2e6;
-constexpr double kInstructionsPerUs = kInstructionsPerMs / 1000.0;
-}  // namespace
+using ic::kInstructionsPerUs;
 
 BitcoinCanister::EndpointCall::EndpointCall(BitcoinCanister& canister, std::string_view name,
                                             const EndpointMetrics& metrics)
@@ -35,15 +29,13 @@ BitcoinCanister::EndpointCall::~EndpointCall() {
     // Simulated time stands still while a call executes, so the span ends at
     // its modelled execution latency rather than at now().
     span_.attr("instructions", instructions);
-    span_.attr("latency_ms", static_cast<double>(instructions) / kInstructionsPerMs);
+    span_.attr("latency_ms", static_cast<double>(instructions) / (kInstructionsPerUs * 1000));
     span_.end_at(span_.start() + static_cast<obs::TraceTime>(modelled_us));
   }
-  auto latency_us = static_cast<std::uint64_t>(modelled_us);
-  if (metrics_->slo != nullptr) metrics_->slo->record(latency_us);
   if (metrics_->calls == nullptr) return;
   metrics_->calls->inc();
   metrics_->instructions->record(instructions);
-  metrics_->latency_us->record(latency_us);
+  metrics_->latency_us->record(static_cast<std::uint64_t>(modelled_us));
 }
 
 void BitcoinCanister::set_metrics(obs::MetricsRegistry* registry) {
@@ -51,7 +43,6 @@ void BitcoinCanister::set_metrics(obs::MetricsRegistry* registry) {
   unstable_index_.set_metrics(registry);
   if (registry == nullptr) {
     metrics_ = Metrics{};
-    resolve_slo_endpoints();  // keep SLO handles across a metrics detach
     return;
   }
   auto endpoint = [registry](const char* name) {
@@ -77,26 +68,7 @@ void BitcoinCanister::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.tip_height = &registry->gauge("canister.tip_height");
   metrics_.unstable_blocks = &registry->gauge("canister.unstable_blocks");
   metrics_.pending = &registry->gauge("canister.pending_transactions");
-  resolve_slo_endpoints();  // set_metrics rebuilt the EndpointMetrics structs
   update_state_gauges();
-}
-
-void BitcoinCanister::set_slo(obs::SloTracker* slo) {
-  slo_tracker_ = slo;
-  resolve_slo_endpoints();
-}
-
-void BitcoinCanister::resolve_slo_endpoints() {
-  auto ep = [this](const char* name) -> obs::SloTracker::Endpoint* {
-    if (slo_tracker_ == nullptr) return nullptr;
-    return &slo_tracker_->endpoint(std::string("canister.") + name);
-  };
-  metrics_.get_utxos.slo = ep("get_utxos");
-  metrics_.get_balance.slo = ep("get_balance");
-  metrics_.send_transaction.slo = ep("send_transaction");
-  metrics_.fee_percentiles.slo = ep("get_current_fee_percentiles");
-  metrics_.block_headers.slo = ep("get_block_headers");
-  metrics_.process_response.slo = ep("process_response");
 }
 
 void BitcoinCanister::update_state_gauges() {
@@ -162,23 +134,6 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
   // valid even if another thread replaces the shared pool mid-call.
   std::shared_ptr<parallel::ThreadPool> pool = parallel::shared_pool_ref();
 
-  // Traced txid precompute: with a tracer attached the memoized caches of the
-  // incoming blocks are warmed up front — in parallel when the shared pool is
-  // installed — so each block's hash work shows up as one task span. Txid
-  // memoization makes this behaviour-neutral: the validation below computes
-  // the same hashes either way. The TraceTaskGroup pre-allocates span ids on
-  // this thread and joins in index order, keeping exports pool-invariant.
-  if (tracer_ != nullptr && !response.blocks.empty()) {
-    obs::TraceTaskGroup group(tracer_, "canister.precompute_txids", "parallel",
-                              response.blocks.size());
-    parallel::parallel_for(pool.get(), response.blocks.size(), [&](std::size_t i) {
-      const Block& block = *response.blocks[i].block;
-      for (const auto& tx : block.transactions) (void)tx.txid();
-      group.record(i, {{"txs", static_cast<std::uint64_t>(block.transactions.size())}});
-    });
-    group.join();
-  }
-
   // Lines 1-15: validate and store each block, then try to advance the
   // anchor (possibly repeatedly: one arrival can make several blocks
   // stable).
@@ -196,7 +151,11 @@ BitcoinCanister::ProcessResult BitcoinCanister::process_response(
     if (accept != chain::AcceptResult::kAccepted && accept != chain::AcceptResult::kDuplicate) {
       continue;
     }
-    if (unstable_index_.contains(header.hash())) continue;
+    // The anchor's own block answers kDuplicate too, but it already left the
+    // window: a response re-delivering it must not store it again.
+    if (header.hash() == tree_.root_hash() || unstable_index_.contains(header.hash())) {
+      continue;
+    }
 
     const chain::HeaderTree::Entry* entry = tree_.find(header.hash());
     max_available_height_ = std::max(max_available_height_, entry->height);

@@ -20,7 +20,6 @@
 #include "chain/header_tree.h"
 #include "ic/metering.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 
 namespace icbtc::canister {
@@ -204,33 +203,24 @@ class BitcoinCanister {
   std::size_t archived_headers() const { return stable_headers_.size(); }
 
   /// Attaches a metrics registry (nullptr detaches): per-endpoint call
-  /// counts with instruction-cost and simulated-latency distributions,
-  /// anchor/tip/unstable-block gauges, sync-gate rejections, and the stable
-  /// UTXO store's `utxo.*` metrics.
+  /// counts with instruction-cost and simulated-latency distributions (the
+  /// latter, `canister.<endpoint>.latency_us`, are the endpoints' SLO
+  /// records; see obs/slo.h), anchor/tip/unstable-block gauges, sync-gate
+  /// rejections, and the stable UTXO store's `utxo.*` metrics.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): every endpoint call becomes a
   /// "canister.<endpoint>" span ending at its modelled execution latency
   /// (metered instructions at 2e9/s), block ingestion yields per-block
   /// "canister.ingest_block" child spans, and anchor advancement emits an
-  /// "anchor_advanced" flight-recorder event. With the shared thread pool
-  /// installed, process_response precomputes txids in parallel under a
-  /// TraceTaskGroup, keeping exports identical to serial runs.
+  /// "anchor_advanced" flight-recorder event. Exports are identical with and
+  /// without the shared thread pool.
   void set_tracer(obs::Tracer* tracer) {
     tracer_ = tracer;
     stable_utxos_.set_tracer(tracer);
     unstable_index_.set_tracer(tracer);
   }
   obs::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches a per-endpoint SLO tracker (nullptr detaches): every endpoint
-  /// call records its modelled execution latency (µs, metered instructions
-  /// at 2e9/s) into the tracker's "canister.<endpoint>" endpoint. Handles
-  /// are resolved once here, so the per-call cost is one null check plus a
-  /// histogram record. Latency only — errors are recorded by drivers that
-  /// see the response status. Order-independent w.r.t. set_metrics().
-  void set_slo(obs::SloTracker* slo);
-  obs::SloTracker* slo() const { return slo_tracker_; }
 
   /// The unstable window: every stored block above the anchor with its delta
   /// (anchor advance applies the deltas).
@@ -248,7 +238,6 @@ class BitcoinCanister {
     obs::Counter* calls = nullptr;
     obs::Histogram* instructions = nullptr;
     obs::Histogram* latency_us = nullptr;
-    obs::SloTracker::Endpoint* slo = nullptr;
   };
   /// RAII guard: counts the call and, on scope exit, records the metered
   /// instruction delta and its simulated execution latency — into the
@@ -272,10 +261,6 @@ class BitcoinCanister {
   bool sync_gate();
   /// Pushes anchor/tip/unstable/pending gauges after a state change.
   void update_state_gauges();
-  /// (Re)resolves the per-endpoint SLO handles from slo_tracker_ into
-  /// metrics_.*.slo — called by both set_metrics() and set_slo() so the two
-  /// attachments compose in either order.
-  void resolve_slo_endpoints();
 
   /// Advances the anchor while some block at anchor height + 1 is
   /// difficulty-based δ-stable w.r.t. the anchor's work.
@@ -342,7 +327,6 @@ class BitcoinCanister {
   };
   Metrics metrics_;
   obs::Tracer* tracer_ = nullptr;
-  obs::SloTracker* slo_tracker_ = nullptr;
 };
 
 }  // namespace icbtc::canister

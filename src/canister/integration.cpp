@@ -2,6 +2,11 @@
 
 namespace icbtc::canister {
 
+namespace {
+/// The canister requests adapter updates every this many rounds.
+constexpr std::uint64_t kRequestEveryRounds = 2;
+}  // namespace
+
 BitcoinIntegration::BitcoinIntegration(ic::Subnet& subnet, btcnet::Network& bitcoin_network,
                                        const bitcoin::ChainParams& params,
                                        IntegrationConfig config, std::uint64_t seed)
@@ -41,15 +46,9 @@ void BitcoinIntegration::set_tracer(obs::Tracer* tracer) {
   for (auto& adapter : adapters_) adapter->set_tracer(tracer);
 }
 
-void BitcoinIntegration::set_slo(obs::SloTracker* slo) {
-  canister_.set_slo(slo);
-  for (auto& adapter : adapters_) adapter->set_slo(slo);
-  subnet_->set_slo(slo);
-}
-
 void BitcoinIntegration::on_round(const ic::RoundInfo& info) {
   if (canister_down_) return;
-  if (info.round % config_.request_every_rounds != 0) return;
+  if (info.round % kRequestEveryRounds != 0) return;
 
   // The canister's request goes through consensus; whichever replica makes
   // this round's block supplies the adapter response included in it. The

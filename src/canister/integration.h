@@ -19,8 +19,6 @@ namespace icbtc::canister {
 struct IntegrationConfig {
   adapter::AdapterConfig adapter;
   CanisterConfig canister;
-  /// The canister requests adapter updates every this many rounds.
-  std::uint64_t request_every_rounds = 2;
 };
 
 /// A call measurement: what the caller observed.
@@ -69,13 +67,6 @@ class BitcoinIntegration {
   /// caller is responsible for installing a clock on the tracer (normally
   /// the subnet's simulation time).
   void set_tracer(obs::Tracer* tracer);
-
-  /// Attaches an SLO tracker to the whole integration (nullptr detaches):
-  /// the canister's per-endpoint latencies, every adapter's handle_request,
-  /// and the subnet's round-dispatch cadence all land in one tracker —
-  /// fan-in across replicas is exact because the underlying histograms have
-  /// fixed bucket boundaries.
-  void set_slo(obs::SloTracker* slo);
 
   void set_byzantine_response_provider(ByzantineResponseProvider provider) {
     byzantine_provider_ = std::move(provider);

@@ -10,9 +10,6 @@
 namespace icbtc::canister {
 
 namespace {
-/// Modelled deterministic execution rate (2e9 instructions/s, the §IV-B
-/// convention shared with BitcoinCanister's endpoint spans).
-constexpr double kInstructionsPerUs = 2000.0;
 /// Pre-block spends resolved per pool task in apply.
 constexpr std::size_t kProbeChunk = 64;
 
@@ -362,9 +359,9 @@ BlockApplyStats UtxoIndex::apply(const BlockDelta& delta, ic::InstructionMeter& 
     span.attr("ops", static_cast<std::uint64_t>(stats.inputs_removed + stats.outputs_inserted));
     span.attr("instructions", stats.instructions);
     span.attr("critical_path_instructions", stats.critical_path_instructions);
-    span.end_at(span.start() +
-                static_cast<obs::TraceTime>(
-                    static_cast<double>(stats.critical_path_instructions) / kInstructionsPerUs));
+    span.end_at(span.start() + static_cast<obs::TraceTime>(
+                                   static_cast<double>(stats.critical_path_instructions) /
+                                   ic::kInstructionsPerUs));
   }
   return stats;
 }

@@ -8,6 +8,13 @@
 
 namespace icbtc::ic {
 
+/// Modelled deterministic execution rate: 2e9 instructions per second of
+/// replicated execution, the rate behind the paper's §IV-B latency figures.
+/// Converts metered instructions into simulated latency (canister endpoint
+/// and ingestion spans, the SLO latency histograms, the benches' tracer
+/// clocks).
+inline constexpr std::uint64_t kInstructionsPerUs = 2000;
+
 class InstructionMeter {
  public:
   void charge(std::uint64_t instructions) { count_ += instructions; }

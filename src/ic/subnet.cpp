@@ -76,9 +76,8 @@ void Subnet::run_round() {
   if (metrics_.rounds != nullptr) {
     metrics_.rounds->inc();
     if (node_is_byzantine(block_maker_)) metrics_.byzantine_maker_rounds->inc();
-    metrics_.round_gap_us->record(gap_us);
+    metrics_.round_dispatch_us->record(gap_us);
   }
-  if (slo_rounds_ != nullptr) slo_rounds_->record(gap_us);
 
   RoundInfo info;
   info.round = round_;
@@ -115,12 +114,8 @@ void Subnet::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.rounds = &registry->counter("ic.rounds");
   metrics_.byzantine_maker_rounds = &registry->counter("ic.byzantine_maker_rounds");
   metrics_.heartbeats = &registry->gauge("ic.heartbeats");
-  metrics_.round_gap_us = &registry->histogram("ic.round_gap_us");
+  metrics_.round_dispatch_us = &registry->histogram("ic.round_dispatch.latency_us");
   metrics_.heartbeats->set(static_cast<std::int64_t>(heartbeats_.size()));
-}
-
-void Subnet::set_slo(obs::SloTracker* slo) {
-  slo_rounds_ = slo == nullptr ? nullptr : &slo->endpoint("ic.round_dispatch");
 }
 
 util::SimTime Subnet::sample_update_latency(std::uint64_t instructions) {

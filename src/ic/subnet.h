@@ -15,7 +15,6 @@
 #include "crypto/threshold_schnorr.h"
 #include "ic/metering.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "util/rng.h"
 #include "util/sim.h"
 
@@ -117,16 +116,13 @@ class Subnet {
   std::uint64_t byzantine_maker_rounds() const { return byzantine_maker_rounds_; }
 
   /// Attaches a metrics registry (nullptr detaches):
-  ///   ic.rounds                  counter — consensus rounds dispatched
-  ///   ic.byzantine_maker_rounds  counter — rounds with a Byzantine maker
-  ///   ic.heartbeats              gauge   — registered heartbeat callbacks
-  ///   ic.round_gap_us            histogram — gap between round dispatches
+  ///   ic.rounds                     counter   — consensus rounds dispatched
+  ///   ic.byzantine_maker_rounds     counter   — rounds with a Byzantine maker
+  ///   ic.heartbeats                 gauge     — registered heartbeat callbacks
+  ///   ic.round_dispatch.latency_us  histogram — gap between round dispatches
+  /// The last is the "ic.round_dispatch" cadence SLO (obs/slo.h): a round
+  /// that fires late is a saturated subnet.
   void set_metrics(obs::MetricsRegistry* registry);
-
-  /// Attaches an SLO tracker (nullptr detaches): each round records the
-  /// simulated-time gap since the previous round into "ic.round_dispatch" —
-  /// the cadence SLO (a round that fires late is a saturated subnet).
-  void set_slo(obs::SloTracker* slo);
 
  private:
   void run_round();
@@ -155,10 +151,9 @@ class Subnet {
     obs::Counter* rounds = nullptr;
     obs::Counter* byzantine_maker_rounds = nullptr;
     obs::Gauge* heartbeats = nullptr;
-    obs::Histogram* round_gap_us = nullptr;
+    obs::Histogram* round_dispatch_us = nullptr;
   };
   Metrics metrics_;
-  obs::SloTracker::Endpoint* slo_rounds_ = nullptr;
   util::SimTime last_round_time_ = -1;
 };
 

@@ -81,12 +81,6 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other_buckets[i];
 }
 
-void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = sum_ = min_ = max_ = 0;
-}
-
 std::uint64_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return count_;

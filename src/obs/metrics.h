@@ -56,7 +56,7 @@ class Gauge {
 /// shards of one stream therefore merge() into exactly the histogram the
 /// combined stream would have produced: quantiles never drift under
 /// sharding, and exports are byte-identical across seeded runs. This is
-/// what lets per-replica / per-shard SLO trackers combine into one
+/// what lets per-replica / per-shard histograms merge into one
 /// subnet-wide picture (and lets bench_load gate on deterministic
 /// BENCH_load.json bytes).
 ///
@@ -97,9 +97,6 @@ class Histogram {
   /// identical to a single histogram that observed both streams.
   /// Thread-safe, including self-merge.
   void merge(const Histogram& other);
-
-  /// Resets to the empty state (used by SloTracker window rolls).
-  void reset();
 
   std::uint64_t count() const;
   std::uint64_t sum() const;

@@ -1,17 +1,18 @@
-// SLO observability layer (the tail-latency side of §IV-B): a per-endpoint
-// SloTracker holding p50/p99/p999 gauges, target thresholds, and
-// error-budget burn counters over obs::Histogram, whose fixed bucket
-// geometry makes per-replica / per-shard trackers merge exactly.
+// SLO verdicts (the tail-latency side of §IV-B): a read-only view over the
+// MetricsRegistry, judging each endpoint's latency distribution against
+// p50/p99/p999 targets and an error budget.
 //
-// Thread safety: recording, window rolls and the accessors take internal
-// mutexes, so a tracker may be hammered from parallel::ThreadPool workers
-// (exercised by the TSan hammer test). Snapshots are exact once writers
-// quiesce.
+// Naming contract: an SLO endpoint is a registry histogram named
+// `<endpoint>.latency_us`; its error count is the counter `<endpoint>.errors`
+// (0 when there is none). Components record each latency once, through the
+// instruments their set_metrics() resolves, so a verdict and the metric it
+// reads share one name and one record.
+//
+// Thread safety: call after the registry's writers quiesce, like to_json().
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,7 @@ struct SloTarget {
   std::uint64_t p99_us = 0;
   std::uint64_t p999_us = 0;
   /// Error budget: tolerated fraction of bad requests (errors or requests
-  /// slower than p99_us) per window. 0.001 = "99.9% of requests good".
+  /// slower than p99_us). 0.001 = "99.9% of requests good".
   double error_budget = 0.001;
 };
 
@@ -50,84 +51,23 @@ struct SloVerdict {
   bool ok() const { return p50_ok && p99_ok && p999_ok && budget_burn <= 1.0; }
 };
 
-/// Windowed, mergeable per-endpoint SLO tracker.
-///
-/// Endpoints are registered (or resolved) by name; the returned handle is
-/// stable for the tracker's lifetime, so hot paths resolve once and record
-/// through the pointer. Each endpoint keeps a *cumulative* histogram plus a
-/// *current-window* histogram; roll_window() folds the window into nothing
-/// (the cumulative histogram already saw every sample) but snapshots the
-/// window's quantiles and advances the window counter — giving burn-rate
-/// style "how bad was the last window" visibility without losing the
-/// all-time distribution.
-class SloTracker {
- public:
-  class Endpoint {
-   public:
-    explicit Endpoint(std::string name, SloTarget target)
-        : name_(std::move(name)), target_(target) {}
+/// Targets by endpoint name; an endpoint without an entry gets the default
+/// SloTarget (no latency bounds).
+using SloTargets = std::map<std::string, SloTarget>;
 
-    /// Records one request: its end-to-end latency and whether it errored.
-    /// Thread-safe.
-    void record(std::uint64_t latency_us, bool error = false);
+/// One verdict per registry histogram named `<endpoint>.latency_us`, in
+/// endpoint-name order. Quantiles carry the histogram's ~3% bucket
+/// granularity, and so does `slow`: Histogram::count_above(target.p99_us),
+/// which leaves out the target's own bucket.
+std::vector<SloVerdict> slo_verdicts(const MetricsRegistry& registry,
+                                     const SloTargets& targets = {});
 
-    const std::string& name() const { return name_; }
-    const SloTarget& target() const { return target_; }
-    const Histogram& histogram() const { return total_; }
-    std::uint64_t requests() const;
-    std::uint64_t errors() const;
-    std::uint64_t slow() const;
-
-    SloVerdict verdict() const;
-
-   private:
-    friend class SloTracker;
-
-    std::string name_;
-    SloTarget target_;
-    Histogram total_;
-    Histogram window_;
-    mutable std::mutex mu_;  // guards the counters below
-    std::uint64_t requests_ = 0;
-    std::uint64_t errors_ = 0;
-    std::uint64_t slow_ = 0;
-    // Last completed window, captured by roll_window().
-    std::uint64_t windows_completed_ = 0;
-    SloVerdict last_window_;
-  };
-
-  /// Resolves (creating on first use) the endpoint `name`. A later call with
-  /// a different target keeps the original registration's target.
-  Endpoint& endpoint(const std::string& name, SloTarget target = {});
-
-  /// Convenience for cold paths: resolve + record in one call.
-  void record(const std::string& name, std::uint64_t latency_us, bool error = false) {
-    endpoint(name).record(latency_us, error);
-  }
-
-  /// Closes the current window on every endpoint: snapshots the window
-  /// verdict, clears the window histogram, bumps the window counter.
-  void roll_window();
-
-  /// Verdicts for every endpoint, in name order (deterministic).
-  std::vector<SloVerdict> verdicts() const;
-  /// Last completed window's verdicts, in name order.
-  std::vector<SloVerdict> window_verdicts() const;
-  std::uint64_t windows_completed() const;
-
-  /// Publishes the current standing into `registry` as deterministic gauges:
-  ///   slo.<endpoint>.requests / .errors / .slow
-  ///   slo.<endpoint>.p50_us / .p99_us / .p999_us / .max_us
-  ///   slo.<endpoint>.ok           (1 when every bound holds, else 0)
-  ///   slo.<endpoint>.budget_burn_pct  (error-budget burn, percent)
-  ///   slo.windows                 (completed window count)
-  /// Call after writers quiesce; repeated calls overwrite.
-  void publish(MetricsRegistry& registry) const;
-
- private:
-  mutable std::mutex mu_;  // guards the endpoint map (not the endpoints)
-  std::map<std::string, Endpoint> endpoints_;
-  std::uint64_t windows_completed_ = 0;
-};
+/// Publishes slo_verdicts(registry, targets) as deterministic gauges:
+///   slo.<endpoint>.requests / .errors / .slow
+///   slo.<endpoint>.p50_us / .p99_us / .p999_us / .max_us
+///   slo.<endpoint>.ok           (1 when every bound holds, else 0)
+///   slo.<endpoint>.budget_burn_pct  (error-budget burn, percent)
+/// Repeated calls overwrite.
+void publish_slo(MetricsRegistry& registry, const SloTargets& targets = {});
 
 }  // namespace icbtc::obs

@@ -217,59 +217,4 @@ void ScopedSpan::end_at(TraceTime at) {
   tracer_->end_span_at(context_, at);
 }
 
-// ----------------------------- TraceTaskGroup -----------------------------
-
-TraceTaskGroup::TraceTaskGroup(Tracer* tracer, std::string_view name,
-                               std::string_view category, std::size_t tasks)
-    : tracer_(tracer) {
-  if (!tracer_ || tasks == 0) {
-    joined_ = true;
-    return;
-  }
-  // Pre-allocate ids and timestamps on the submitting thread so the exported
-  // records are independent of which worker ran which task and when.
-  SpanContext parent = tracer_->current();
-  TraceTime at = tracer_->now();
-  slots_.resize(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    SpanRecord& record = slots_[i].record;
-    record.span_id = tracer_->next_span_id_++;
-    record.seq = tracer_->next_seq_++;
-    if (parent.valid()) {
-      record.trace_id = parent.trace_id;
-      record.parent_id = parent.span_id;
-    } else {
-      record.trace_id = tracer_->next_trace_id_++;
-    }
-    record.name = std::string(name) + "[" + std::to_string(i) + "]";
-    record.category.assign(category);
-    record.start = at;
-    record.end = at;
-  }
-}
-
-void TraceTaskGroup::record(std::size_t i) {
-  if (i < slots_.size()) slots_[i].recorded = true;
-}
-
-void TraceTaskGroup::record(
-    std::size_t i, std::initializer_list<std::pair<std::string_view, std::uint64_t>> attrs) {
-  if (i >= slots_.size()) return;
-  Slot& slot = slots_[i];
-  slot.recorded = true;
-  for (const auto& [key, value] : attrs) {
-    Tracer::render_attr(slot.record, key, std::to_string(value));
-  }
-}
-
-void TraceTaskGroup::join() {
-  if (joined_) return;
-  joined_ = true;
-  for (Slot& slot : slots_) {
-    if (!slot.recorded) continue;
-    tracer_->finish(std::move(slot.record));
-  }
-  slots_.clear();
-}
-
 }  // namespace icbtc::obs

@@ -13,14 +13,10 @@
 // deterministic monotone source such as metered instructions); ids and
 // ordering come from sequential counters assigned on the submitting thread.
 // Two identically seeded runs therefore produce byte-identical exports
-// (see trace_export.h) — including runs that use parallel::ThreadPool, via
-// TraceTaskGroup: span ids are pre-allocated at submit time, workers fill
-// disjoint slots, and join() appends the records in task-index order.
+// (see trace_export.h), including runs that use parallel::ThreadPool.
 //
-// Threading: the Tracer itself is confined to the simulation thread (like
-// the Simulation it observes). The only cross-thread entry point is
-// TraceTaskGroup::record(), which touches a pre-sized slot per task and
-// never the tracer.
+// Threading: the Tracer is confined to the simulation thread (like the
+// Simulation it observes); pool workers never touch it.
 #pragma once
 
 #include <cstdint>
@@ -184,8 +180,6 @@ class Tracer {
   void clear();
 
  private:
-  friend class TraceTaskGroup;
-
   void finish(SpanRecord&& record);
   static void render_attr(SpanRecord& record, std::string_view key, std::string value);
 
@@ -242,52 +236,6 @@ class ScopedSpan {
   SpanContext context_{};
   TraceTime start_ = 0;
   bool ended_ = false;
-};
-
-/// Deterministic span recording across parallel::ThreadPool tasks.
-///
-/// Construct on the submitting thread before handing work to the pool: the
-/// group captures the parent context and timestamp and pre-allocates one
-/// span id per task from the tracer's counters. Workers call record(i) (and
-/// optionally attach uint attributes) for the task they executed — each task
-/// owns slot i exclusively, so no synchronisation is needed. join() (or the
-/// destructor) appends the recorded spans to the tracer in task-index order,
-/// making the exported trace byte-identical whether the work ran on a pool,
-/// on the caller's thread, or any interleaving in between.
-///
-/// With a null tracer every method is a no-op, so the group can wrap a
-/// parallel_for unconditionally.
-class TraceTaskGroup {
- public:
-  TraceTaskGroup(Tracer* tracer, std::string_view name, std::string_view category,
-                 std::size_t tasks);
-  ~TraceTaskGroup() { join(); }
-
-  TraceTaskGroup(const TraceTaskGroup&) = delete;
-  TraceTaskGroup& operator=(const TraceTaskGroup&) = delete;
-
-  std::size_t size() const { return slots_.size(); }
-
-  /// Marks task i as executed. Thread-safe for distinct i.
-  void record(std::size_t i);
-  /// Same, attaching deterministic (pure-function-of-input) uint attributes.
-  void record(std::size_t i,
-              std::initializer_list<std::pair<std::string_view, std::uint64_t>> attrs);
-
-  /// Appends all recorded task spans to the tracer in index order. Must be
-  /// called on the submitting thread after the pool work completed.
-  /// Idempotent; also invoked by the destructor.
-  void join();
-
- private:
-  struct Slot {
-    SpanRecord record;
-    bool recorded = false;
-  };
-
-  Tracer* tracer_ = nullptr;
-  std::vector<Slot> slots_;
-  bool joined_ = false;
 };
 
 }  // namespace icbtc::obs

@@ -41,6 +41,11 @@ std::size_t recon_sketch_cells(std::size_t diff);
 /// distinct short-id spaces so collisions cannot persist network-wide.
 std::uint64_t link_salt(std::uint32_t a, std::uint32_t b, std::uint64_t network_salt);
 
+/// The network-wide relay seed every node and adapter derives its per-link
+/// salts (and nodes their fanout ranks) from, so both ends of a link share
+/// one short-id space.
+inline constexpr std::uint64_t kRelaySalt = 0x69636274u;
+
 /// Invertible Bloom Lookup Table over 48-bit short transaction ids — the
 /// id-only sibling of the slice-carrying Iblt used for block relay. Each id
 /// lands in kReconHashes cells; subtracting a peer's table leaves the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitcoin/script.h"
 #include "chain/block_builder.h"
 #include "oracles/scan_reads.h"
@@ -471,6 +473,28 @@ TEST_F(CanisterTest, AnchorAdvancePrunesForks) {
   for (const auto& hash : canister_.header_tree().blocks_at_height(1)) {
     EXPECT_NE(hash, fork.hash());
   }
+}
+
+TEST_F(CanisterTest, RedeliveredAnchorBlockStaysOutOfTheWindow) {
+  // A Byzantine block maker (§IV-A) may re-deliver the anchor's own block.
+  // The header tree answers kDuplicate for the root, but the block already
+  // left the window: it must get no delta, no processed-list entry and no
+  // memory charge.
+  auto blocks = extend(8);
+  feed(blocks);
+  ASSERT_EQ(canister_.anchor_height(), 3);
+  const Block& anchor_block = blocks[2];
+  ASSERT_EQ(anchor_block.hash(), canister_.header_tree().root_hash());
+  std::size_t window = canister_.unstable_block_count();
+  auto hashes = canister_.unstable_index().hashes();
+  std::uint64_t memory = canister_.memory_bytes();
+
+  EXPECT_EQ(feed({anchor_block}).blocks_stored, 0u);
+  EXPECT_EQ(canister_.unstable_block_count(), window);
+  EXPECT_EQ(canister_.unstable_index().hashes(), hashes);
+  EXPECT_EQ(canister_.memory_bytes(), memory);
+  auto processed = canister_.make_request().processed;
+  EXPECT_EQ(std::count(processed.begin(), processed.end(), anchor_block.hash()), 0);
 }
 
 TEST_F(CanisterTest, InvalidBlocksIgnored) {

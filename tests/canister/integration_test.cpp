@@ -9,6 +9,7 @@
 #include "bitcoin/script.h"
 #include "btcnet/harness.h"
 #include "crypto/ripemd160.h"
+#include "obs/slo.h"
 
 namespace icbtc::canister {
 namespace {
@@ -314,6 +315,72 @@ TEST_F(IntegrationTest, EveryReplicaRunsItsOwnAdapter) {
     peer_sets.insert(integration_->adapter_of(i).connected_peers());
   }
   EXPECT_GT(peer_sets.size(), 1u);
+}
+
+TEST_F(IntegrationTest, SloVerdictsReadEachComponentsLatencyRecord) {
+  // One registry on the subnet, the canister and every adapter: the SLO
+  // endpoints are exactly the latency histograms their set_metrics() wires,
+  // and each request is recorded once.
+  obs::MetricsRegistry registry;
+  subnet_->set_metrics(&registry);
+  integration_->canister().set_metrics(&registry);
+  for (std::uint32_t i = 0; i < integration_->num_adapters(); ++i) {
+    integration_->adapter_of(i).set_metrics(&registry);
+  }
+  subnet_->start();
+  integration_->start();
+  mine_and_run(3);
+  util::Hash160 key_hash;
+  key_hash.data[0] = 0xaa;
+  std::string address = bitcoin::p2pkh_address(key_hash, params_.network);
+  ASSERT_TRUE(integration_->query_get_balance(address).outcome.ok());
+  GetUtxosRequest utxos;
+  utxos.address = address;
+  ASSERT_TRUE(integration_->query_get_utxos(utxos).outcome.ok());
+  integration_->stop();
+  subnet_->stop();
+
+  auto verdicts = obs::slo_verdicts(registry);
+  std::vector<std::string> endpoints;
+  for (const auto& v : verdicts) endpoints.push_back(v.endpoint);
+  ASSERT_EQ(endpoints, (std::vector<std::string>{
+                           "adapter.handle_request", "canister.get_balance",
+                           "canister.get_block_headers", "canister.get_current_fee_percentiles",
+                           "canister.get_utxos", "canister.process_response",
+                           "canister.send_transaction", "ic.round_dispatch"}));
+  for (const auto& v : verdicts) {
+    EXPECT_EQ(v.errors, 0u) << v.endpoint;
+    if (v.endpoint.starts_with("canister.")) {
+      EXPECT_EQ(v.requests, registry.counter(v.endpoint + ".calls").value()) << v.endpoint;
+    }
+  }
+  EXPECT_EQ(verdicts[1].requests, 1u);  // canister.get_balance
+  EXPECT_EQ(verdicts[4].requests, 1u);  // canister.get_utxos
+  EXPECT_GT(verdicts[5].requests, 0u);  // canister.process_response
+  const obs::SloVerdict& adapter_before = verdicts[0];
+  EXPECT_GT(adapter_before.requests, 0u);
+  EXPECT_EQ(adapter_before.requests, registry.counter("adapter.requests_handled").value());
+  EXPECT_EQ(verdicts[7].requests, registry.counter("ic.rounds").value());
+  EXPECT_GT(verdicts[7].requests, 0u);
+
+  // A request with an unknown anchor is still a served round-trip: it adds
+  // one request and one error.
+  adapter::AdapterRequest unknown;
+  unknown.anchor.data[0] = 0x5a;
+  EXPECT_TRUE(integration_->adapter_of(0).handle_request(unknown).blocks.empty());
+  const obs::SloVerdict adapter_after = obs::slo_verdicts(registry)[0];
+  EXPECT_EQ(adapter_after.endpoint, "adapter.handle_request");
+  EXPECT_EQ(adapter_after.requests, adapter_before.requests + 1);
+  EXPECT_EQ(adapter_after.requests, registry.counter("adapter.requests_handled").value());
+  EXPECT_EQ(adapter_after.errors, 1u);
+
+  // The fixture's components outlive this registry (an adapter's destructor
+  // still updates its peer gauge).
+  subnet_->set_metrics(nullptr);
+  integration_->canister().set_metrics(nullptr);
+  for (std::uint32_t i = 0; i < integration_->num_adapters(); ++i) {
+    integration_->adapter_of(i).set_metrics(nullptr);
+  }
 }
 
 }  // namespace

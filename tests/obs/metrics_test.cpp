@@ -243,15 +243,6 @@ TEST(HistogramTest, CountAboveThreshold) {
   EXPECT_EQ(h.count_above(0), 5u);
 }
 
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.record(123);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_TRUE(h.nonzero_buckets().empty());
-}
-
 TEST(RegistryTest, ReferencesAreStableAcrossInsertions) {
   MetricsRegistry r;
   Counter& c = r.counter("first");

@@ -1,6 +1,7 @@
-// SloTracker unit tests: the latency histograms' summary and merge contract,
-// verdicts against targets, window rolls, published metric names, and a
-// ThreadPool hammer (recording racing fan-in merges) for the sanitizer builds.
+// SLO verdict unit tests: the latency histograms' summary and merge
+// contract, and the verdicts as a view over the metrics registry: targets,
+// errors from `<endpoint>.errors`, name order, the `.latency_us` naming
+// contract, bucket-granular `slow`, and the published gauge names.
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +9,6 @@
 #include <cstdint>
 #include <iterator>
 
-#include "parallel/thread_pool.h"
 #include "util/rng.h"
 
 namespace icbtc::obs {
@@ -16,9 +16,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Each endpoint keeps its latencies in an obs::Histogram of microseconds.
-// The verdicts read its summary, and replica fan-in (bench_load) merges one
-// endpoint's histograms into another's, so these cases pin both on latency-
-// shaped inputs. The bucket math itself is covered by HistogramTest.
+// The verdicts read its summary, and per-replica fan-in merges one
+// histogram into another, so these cases pin both on latency-shaped inputs.
+// The bucket math itself is covered by HistogramTest.
 
 TEST(LatencyHistogramTest, SummaryStatistics) {
   Histogram h;
@@ -35,7 +35,7 @@ TEST(LatencyHistogramTest, SummaryStatistics) {
 TEST(LatencyHistogramTest, MergeMatchesSingleHistogramOracle) {
   // Two shards fed disjoint halves of one stream must merge into exactly
   // the histogram the combined stream produces — the fixed-boundary
-  // contract bench_load's replica fan-in depends on.
+  // contract per-replica fan-in depends on.
   Histogram a, b, oracle;
   util::Rng rng(99);
   for (int i = 0; i < 4000; ++i) {
@@ -79,90 +79,121 @@ TEST(LatencyHistogramTest, MergeEmptyIsNoOp) {
   EXPECT_EQ(empty.min(), 77u);
 }
 
-TEST(SloTrackerTest, VerdictAgainstTargets) {
-  SloTracker tracker;
+SloTargets read_write_targets() {
   SloTarget target;
   target.p50_us = 100;
   target.p99_us = 1000;
   target.error_budget = 0.1;
-  auto& ep = tracker.endpoint("api.read", target);
-  for (int i = 0; i < 99; ++i) ep.record(50);
-  ep.record(500);  // within p99 target
-  SloVerdict v = ep.verdict();
+  return {{"api.read", target}, {"api.write", target}};
+}
+
+TEST(SloVerdictTest, VerdictAgainstTargets) {
+  MetricsRegistry registry;
+  Histogram& read = registry.histogram("api.read.latency_us");
+  for (int i = 0; i < 99; ++i) read.record(50);
+  read.record(500);  // within p99 target
+  // Blow the p50 target and the error budget.
+  Histogram& write = registry.histogram("api.write.latency_us");
+  for (int i = 0; i < 80; ++i) write.record(500);
+  for (int i = 0; i < 20; ++i) write.record(5000);
+  registry.counter("api.write.errors").inc(20);
+
+  auto verdicts = slo_verdicts(registry, read_write_targets());
+  ASSERT_EQ(verdicts.size(), 2u);
+  const SloVerdict& v = verdicts[0];
+  EXPECT_EQ(v.endpoint, "api.read");
   EXPECT_EQ(v.requests, 100u);
   EXPECT_EQ(v.errors, 0u);
   EXPECT_EQ(v.slow, 0u);
+  EXPECT_EQ(v.max_us, 500u);
   EXPECT_TRUE(v.p50_ok);
   EXPECT_TRUE(v.p99_ok);
   EXPECT_TRUE(v.ok());
 
-  // Blow the p50 target and the error budget.
-  auto& bad = tracker.endpoint("api.write", target);
-  for (int i = 0; i < 80; ++i) bad.record(500);
-  for (int i = 0; i < 20; ++i) bad.record(5000, /*error=*/true);
-  SloVerdict w = bad.verdict();
+  const SloVerdict& w = verdicts[1];
+  EXPECT_EQ(w.endpoint, "api.write");
+  EXPECT_EQ(w.requests, 100u);
   EXPECT_EQ(w.errors, 20u);
   EXPECT_EQ(w.slow, 20u);  // the 5000us records exceed the 1000us p99 target
   EXPECT_FALSE(w.p50_ok);
-  EXPECT_GT(w.budget_burn, 1.0);
+  EXPECT_DOUBLE_EQ(w.budget_burn, 40.0 / (0.1 * 100.0));
   EXPECT_FALSE(w.ok());
+
+  // Without targets nothing is bounded and nothing counts as slow.
+  auto unbounded = slo_verdicts(registry);
+  ASSERT_EQ(unbounded.size(), 2u);
+  EXPECT_EQ(unbounded[1].slow, 0u);
+  EXPECT_TRUE(unbounded[1].p50_ok);
 }
 
-TEST(SloTrackerTest, EndpointHandleIsStableAndTargetSticks) {
-  SloTracker tracker;
-  SloTarget target;
-  target.p99_us = 42;
-  auto& first = tracker.endpoint("x", target);
-  SloTarget other;
-  other.p99_us = 9999;
-  auto& second = tracker.endpoint("x", other);
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(second.target().p99_us, 42u);  // original registration wins
-}
-
-TEST(SloTrackerTest, WindowRollSnapshotsAndResets) {
-  SloTracker tracker;
-  auto& ep = tracker.endpoint("svc");
-  ep.record(100);
-  ep.record(200);
-  EXPECT_EQ(tracker.windows_completed(), 0u);
-  tracker.roll_window();
-  EXPECT_EQ(tracker.windows_completed(), 1u);
-  auto window = tracker.window_verdicts();
-  ASSERT_EQ(window.size(), 1u);
-  EXPECT_EQ(window[0].requests, 2u);
-
-  // The next window starts empty, but the cumulative verdict keeps history.
-  ep.record(300);
-  tracker.roll_window();
-  window = tracker.window_verdicts();
-  EXPECT_EQ(window[0].requests, 1u);
-  auto total = tracker.verdicts();
-  ASSERT_EQ(total.size(), 1u);
-  EXPECT_EQ(total[0].requests, 3u);
-}
-
-TEST(SloTrackerTest, VerdictsAreNameOrdered) {
-  SloTracker tracker;
-  tracker.record("zeta", 1);
-  tracker.record("alpha", 1);
-  tracker.record("mid", 1);
-  auto verdicts = tracker.verdicts();
-  ASSERT_EQ(verdicts.size(), 3u);
+TEST(SloVerdictTest, VerdictsAreNameOrdered) {
+  MetricsRegistry registry;
+  for (const char* endpoint : {"zeta", "alpha", "mid", "alpha.b"}) {
+    registry.histogram(std::string(endpoint) + ".latency_us").record(1);
+  }
+  // The registry sorts "alpha.b.latency_us" before "alpha.latency_us"; the
+  // verdicts sort by endpoint.
+  auto verdicts = slo_verdicts(registry);
+  ASSERT_EQ(verdicts.size(), 4u);
   EXPECT_EQ(verdicts[0].endpoint, "alpha");
-  EXPECT_EQ(verdicts[1].endpoint, "mid");
-  EXPECT_EQ(verdicts[2].endpoint, "zeta");
+  EXPECT_EQ(verdicts[1].endpoint, "alpha.b");
+  EXPECT_EQ(verdicts[2].endpoint, "mid");
+  EXPECT_EQ(verdicts[3].endpoint, "zeta");
 }
 
-TEST(SloTrackerTest, PublishedMetricNamesArePinned) {
+TEST(SloVerdictTest, OnlyLatencyHistogramsAreEndpoints) {
+  MetricsRegistry registry;
+  registry.histogram("canister.get_utxos.instructions").record(7);
+  registry.histogram("canister.delta.build_us").record(7);
+  registry.histogram("latency_us").record(7);
+  registry.histogram(".latency_us").record(7);
+  registry.counter("svc.latency_us").inc();  // a counter, not a histogram
+  EXPECT_TRUE(slo_verdicts(registry).empty());
+
+  registry.histogram("svc.latency_us").record(7);
+  auto verdicts = slo_verdicts(registry);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].endpoint, "svc");
+  EXPECT_EQ(verdicts[0].requests, 1u);
+}
+
+TEST(SloVerdictTest, MissingErrorsCounterReadsZero) {
+  MetricsRegistry registry;
+  registry.histogram("svc.latency_us").record(10);
+  auto verdicts = slo_verdicts(registry);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].errors, 0u);
+  EXPECT_TRUE(registry.counters().empty());  // reading creates no counter
+
+  registry.counter("svc.errors").inc(3);
+  EXPECT_EQ(slo_verdicts(registry)[0].errors, 3u);
+}
+
+TEST(SloVerdictTest, SlowIsBucketGranular) {
+  // `slow` counts whole buckets above the p99 target's own bucket, so a
+  // sample above the target but inside its bucket is not slow, and one in
+  // the next bucket is.
+  constexpr std::uint64_t kTarget = 1000;
+  std::uint64_t bucket_top = Histogram::bucket_upper(Histogram::bucket_index(kTarget));
+  ASSERT_GT(bucket_top, kTarget);
+  SloTarget target;
+  target.p99_us = kTarget;
+  SloTargets targets{{"svc", target}};
+
+  MetricsRegistry registry;
+  Histogram& latency = registry.histogram("svc.latency_us");
+  latency.record(bucket_top);
+  EXPECT_EQ(slo_verdicts(registry, targets)[0].slow, 0u);
+  latency.record(bucket_top + 1);
+  EXPECT_EQ(slo_verdicts(registry, targets)[0].slow, 1u);
+}
+
+TEST(SloVerdictTest, PublishedMetricNamesArePinned) {
   // The exported gauge names are API: dashboards and the CI artifact diff
   // key on them. This test pins the full set for one endpoint.
-  SloTracker tracker;
-  auto& ep = tracker.endpoint("canister.get_utxos");
-  ep.record(100);
-  tracker.roll_window();
   MetricsRegistry registry;
-  tracker.publish(registry);
+  registry.histogram("canister.get_utxos.latency_us").record(100);
+  publish_slo(registry);
   const char* expected[] = {
       "slo.canister.get_utxos.requests",      "slo.canister.get_utxos.errors",
       "slo.canister.get_utxos.slow",          "slo.canister.get_utxos.p50_us",
@@ -173,43 +204,9 @@ TEST(SloTrackerTest, PublishedMetricNamesArePinned) {
   for (const char* name : expected) {
     EXPECT_EQ(registry.gauges().count(name), 1u) << "missing gauge " << name;
   }
-  EXPECT_EQ(registry.gauges().count("slo.windows"), 1u);
-  EXPECT_EQ(registry.gauges().size(), std::size(expected) + 1);
+  EXPECT_EQ(registry.gauges().size(), std::size(expected));
   EXPECT_EQ(registry.gauges().at("slo.canister.get_utxos.requests").value(), 1);
   EXPECT_EQ(registry.gauges().at("slo.canister.get_utxos.ok").value(), 1);
-  EXPECT_EQ(registry.gauges().at("slo.windows").value(), 1);
-}
-
-TEST(SloTrackerHammerTest, ParallelRecordingLosesNothing) {
-  // TSan target: many pool workers hammer one tracker — handles resolved
-  // up front (the hot-path contract) and via the name-resolving record().
-  SloTracker tracker;
-  auto& fast = tracker.endpoint("hammer.fast");
-  constexpr std::size_t kTasks = 64;
-  constexpr int kPerTask = 500;
-  parallel::ThreadPool pool(4);
-  pool.run(kTasks, [&](std::size_t i) {
-    for (int j = 0; j < kPerTask; ++j) {
-      fast.record(static_cast<std::uint64_t>(i * 131 + static_cast<std::size_t>(j) % 97),
-                  /*error=*/j % 100 == 0);
-      tracker.record("hammer.slow", 1000 + static_cast<std::uint64_t>(j));
-    }
-  });
-  EXPECT_EQ(fast.requests(), kTasks * kPerTask);
-  EXPECT_EQ(fast.errors(), kTasks * (kPerTask / 100));
-  EXPECT_EQ(tracker.endpoint("hammer.slow").requests(), kTasks * kPerTask);
-  EXPECT_EQ(fast.histogram().count(), kTasks * kPerTask);
-
-  // Concurrent merges into a fan-in histogram while recording continues.
-  Histogram fanin;
-  pool.run(kTasks, [&](std::size_t i) {
-    if (i % 2 == 0) {
-      fanin.merge(tracker.endpoint("hammer.slow").histogram());
-    } else {
-      tracker.record("hammer.slow", 5);
-    }
-  });
-  EXPECT_GE(fanin.count(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tracer unit tests (span stack, attributes, flight-recorder ring, slow-op
-// watchdog, TraceTaskGroup) plus the tracing determinism guarantees: pool
-// and serial runs export byte-identical traces, and two identically seeded
-// full-stack runs export byte-identical trace and Chrome JSON.
+// watchdog) plus the tracing determinism guarantees: pool and serial runs
+// export byte-identical traces, and two identically seeded full-stack runs
+// export byte-identical trace and Chrome JSON.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -253,59 +253,6 @@ TEST(ExportTest, FlightRecorderTextListsEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceTaskGroup: spans recorded by pool workers must export byte-identically
-// to a serial run — ids, order, and attributes are fixed at submit time.
-
-std::string run_task_group(bool use_pool) {
-  Tracer tracer;
-  ManualClock clock;
-  clock.install(tracer);
-  clock.now = 17;
-  ScopedSpan root(&tracer, "ingest", "canister");
-  TraceTaskGroup group(&tracer, "hash", "parallel", 16);
-  parallel::ThreadPool pool(3);
-  parallel::parallel_for(use_pool ? &pool : nullptr, 16, [&](std::size_t i) {
-    group.record(i, {{"idx", static_cast<std::uint64_t>(i)}, {"work", i * i}});
-  });
-  group.join();
-  root.end();
-  return to_trace_json(tracer) + "\n---\n" + to_chrome_trace(tracer);
-}
-
-TEST(TraceTaskGroupTest, PoolAndSerialRunsExportIdenticalTraces) {
-  std::string serial = run_task_group(false);
-  std::string pooled = run_task_group(true);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_NE(serial.find("hash[0]"), std::string::npos);
-  EXPECT_NE(serial.find("hash[15]"), std::string::npos);
-}
-
-TEST(TraceTaskGroupTest, TaskSpansInheritTheSubmittersParent) {
-  Tracer tracer;
-  ScopedSpan root(&tracer, "root", "test");
-  {
-    TraceTaskGroup group(&tracer, "task", "parallel", 2);
-    group.record(0);
-    group.record(1);
-  }
-  root.end();
-  ASSERT_EQ(tracer.finished_spans().size(), 3u);
-  EXPECT_EQ(tracer.finished_spans()[0].name, "task[0]");
-  EXPECT_EQ(tracer.finished_spans()[0].parent_id, root.context().span_id);
-  EXPECT_EQ(tracer.finished_spans()[0].trace_id, root.context().trace_id);
-}
-
-TEST(TraceTaskGroupTest, UnrecordedSlotsAreOmitted) {
-  Tracer tracer;
-  {
-    TraceTaskGroup group(&tracer, "task", "parallel", 3);
-    group.record(1);
-  }
-  ASSERT_EQ(tracer.finished_spans().size(), 1u);
-  EXPECT_EQ(tracer.finished_spans()[0].name, "task[1]");
-}
-
-// ---------------------------------------------------------------------------
 // Full-stack determinism: network + adapter + canister wired to one tracer on
 // simulation time. Identical seeds must export identical bytes — with and
 // without the shared thread pool.
@@ -379,8 +326,8 @@ TEST(TraceDeterminismTest, IdenticalSeededRunsExportIdenticalTraces) {
 TEST(TraceDeterminismTest, SharedPoolDoesNotChangeTheExportedBytes) {
   std::string serial = run_seeded_trace(42, false);
   std::string pooled = run_seeded_trace(42, true);
-  // The pooled run routes txid precompute through TraceTaskGroup; the
-  // exported spans must not betray which threads did the hashing.
+  // The pooled run builds block deltas and applies stable blocks on the
+  // pool; the exported spans must not betray which threads did the work.
   EXPECT_EQ(serial, pooled);
 }
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "adapter/adapter.h"
 #include "bitcoin/script.h"
 #include "btcnet/node.h"
 #include "chain/block_builder.h"
@@ -231,6 +232,35 @@ TEST_F(ReconRelayTest, CapEvictedTxIsNeverAnnounced) {
   EXPECT_TRUE(bob.in_mempool(mid.txid()));
   EXPECT_TRUE(bob.in_mempool(high.txid()));
   EXPECT_FALSE(bob.in_mempool(low.txid()));
+}
+
+TEST_F(ReconRelayTest, AdapterAnswersEverySketchFromAnEmptySet) {
+  // The adapter never reconciles on its own: it answers each sketch from an
+  // empty set salted for the link. That still decodes the node's side, so a
+  // kReconcile node completes its rounds with an adapter peer instead of
+  // timing out and parking the link.
+  auto& node = add_node();
+  net_.add_dns_seed(node.id());
+  adapter::BitcoinAdapter adapter(net_, params_, adapter::AdapterConfig::for_params(params_),
+                                  util::Rng(41));
+  adapter.set_metrics(&registry_);
+  adapter.start();
+  // Bounded runs only: the started adapter's maintenance timer never ends.
+  sim_.run_until(sim_.now() + 10 * util::kSecond);
+  ASSERT_EQ(adapter.connected_peers(), std::vector<NodeId>{node.id()});
+
+  for (int i = 0; i < 3; ++i) {
+    auto outpoint = fund(node);
+    sim_.run_until(sim_.now() + 10 * util::kSecond);
+    ASSERT_TRUE(node.submit_tx(spend(outpoint, 49 * bitcoin::kCoin)));
+    EXPECT_EQ(node.recon_pending(adapter.id()), 1u);
+    sim_.run_until(sim_.now() + 30 * util::kSecond);
+    EXPECT_EQ(node.recon_pending(adapter.id()), 0u);
+  }
+  EXPECT_GE(counter("relay.rounds_completed"), 3u);
+  EXPECT_EQ(counter("relay.round_timeouts"), 0u);
+  EXPECT_EQ(counter("adapter.recon.sketches_answered"), counter("relay.sketches_sent"));
+  adapter.stop();
 }
 
 TEST_F(ReconRelayTest, RelayAndMempoolMetricNamesArePinned) {
