@@ -10,7 +10,8 @@
 //    bench-smoke job fails) if reconciliation misses the gate or either mode
 //    fails to converge every node's mempool.
 //
-// ICBTC_BENCH_QUICK=1 shrinks the transaction stream for CI smoke runs.
+// ICBTC_BENCH_QUICK (set to anything but "0") shrinks the transaction stream
+// for CI smoke runs.
 // Every number derives from the seeded simulation — two runs of the same
 // build produce byte-identical JSON reports.
 #include <benchmark/benchmark.h>
@@ -27,6 +28,7 @@
 #include "crypto/ripemd160.h"
 #include "obs/metrics.h"
 #include "reconcile/compact_block.h"
+#include "workload.h"
 
 namespace {
 
@@ -305,7 +307,7 @@ ContinuousStats run_continuous(btcnet::TxRelayMode mode, int peers, int txs) {
 
 /// Returns {json fragment, gate passed}.
 std::pair<std::string, bool> run_continuous_table() {
-  const bool quick = std::getenv("ICBTC_BENCH_QUICK") != nullptr;
+  const bool quick = bench::quick_mode();
   const int kPeers = 100;
   // The gate needs a sustained stream: with too few transactions the fixed
   // per-round sketch cost dominates and neither mode's asymptotic behaviour

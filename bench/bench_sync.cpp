@@ -1,6 +1,8 @@
 // Algorithm 1 + Algorithm 2 sync throughput, and the design ablations called
 // out in DESIGN.md: multi-block vs single-block responses (sync speed vs the
-// §IV-A downtime defence) and the MAX_HEADERS cap.
+// §IV-A downtime defence) and the MAX_HEADERS cap. The process exits nonzero
+// if any configuration ends short of the chain tip or uses up its iteration
+// budget.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -37,12 +39,17 @@ struct SyncSetup {
   }
 };
 
+/// Request/response round-trips one sync may take.
+constexpr int kMaxSyncIterations = 10000;
+
 /// Fully syncs a fresh canister through a fresh adapter; returns the number
 /// of request/response iterations used.
 struct SyncStats {
   int iterations = 0;
   util::SimTime wall = 0;
   std::size_t blocks = 0;
+  /// Height up to which the canister holds blocks when the sync ends.
+  int height = 0;
 };
 
 SyncStats sync_canister(SyncSetup& setup, adapter::AdapterConfig adapter_config,
@@ -65,7 +72,7 @@ SyncStats sync_canister(SyncSetup& setup, adapter::AdapterConfig adapter_config,
   auto blocks_height = [&] {
     return canister.anchor_height() + static_cast<int>(canister.unstable_block_count());
   };
-  for (int i = 0; i < 10000 && blocks_height() < target_height; ++i) {
+  for (int i = 0; i < kMaxSyncIterations && blocks_height() < target_height; ++i) {
     auto request = canister.make_request();
     auto response = adapter.handle_request(request);
     canister.process_response(
@@ -78,6 +85,7 @@ SyncStats sync_canister(SyncSetup& setup, adapter::AdapterConfig adapter_config,
     setup.sim.run_until(setup.sim.now() + util::kSecond);
   }
   stats.wall = setup.sim.now() - start;
+  stats.height = blocks_height();
   setup.harness->network().set_metrics(nullptr);
   return stats;
 }
@@ -96,7 +104,8 @@ void emit_metrics_snapshot(const obs::MetricsRegistry& metrics, const char* benc
   }
 }
 
-void run_sync_table() {
+/// Returns false if any configuration failed to sync the whole chain.
+bool run_sync_table() {
   std::printf("\n--- Algorithm 1/2: initial sync throughput & ablations ---\n");
   const int kChain = 120;
   SyncSetup setup(kChain, 20250101);
@@ -110,6 +119,7 @@ void run_sync_table() {
   };
   obs::MetricsRegistry metrics;
   bool first = true;
+  bool pass = true;
   for (const Case& c : {Case{"multi-block, MAX_HEADERS=100", 100, 1 << 30},
                         Case{"multi-block, MAX_HEADERS=10", 10, 1 << 30},
                         Case{"single-block (post-checkpoint)", 100, 0},
@@ -128,11 +138,17 @@ void run_sync_table() {
     first = false;
     std::printf("%-34s %-12d %-12s %-10zu\n", c.name, stats.iterations,
                 util::format_time(stats.wall).c_str(), stats.blocks);
+    if (stats.height < kChain || stats.iterations >= kMaxSyncIterations) {
+      std::printf("FAIL: '%s' holds blocks to height %d of %d after %d iterations\n", c.name,
+                  stats.height, kChain, stats.iterations);
+      pass = false;
+    }
   }
   std::printf("\nMulti-block responses sync the chain in far fewer consensus rounds;\n");
   std::printf("single-block mode trades sync speed for the Lemma IV.3 defence (one\n");
   std::printf("Byzantine block maker can inject at most one block per round).\n\n");
   emit_metrics_snapshot(metrics, "multi-block MAX_HEADERS=100 sync");
+  return pass;
 }
 
 void BM_HandleRequest(benchmark::State& state) {
@@ -195,7 +211,7 @@ BENCHMARK(BM_ProcessResponse)->Arg(1)->Arg(16)->Arg(64)->Unit(benchmark::kMicros
 }  // namespace
 
 int main(int argc, char** argv) {
-  run_sync_table();
+  if (!run_sync_table()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "reconcile/recon_set.h"
 #include "util/log.h"
 
 namespace icbtc::adapter {
@@ -20,9 +21,6 @@ using util::Hash256;
 namespace {
 /// Outbound transactions expire from the cache after 10 minutes (§III-B).
 constexpr util::SimTime kTxCacheExpiry = 10 * util::kMinute;
-/// Recently observed transactions are kept this long for compact-block
-/// reconstruction.
-constexpr util::SimTime kRecentTxExpiry = 10 * util::kMinute;
 /// Retry interval for unanswered block requests.
 constexpr util::SimTime kBlockRequestRetry = 5 * util::kSecond;
 /// Period of the address/connection maintenance timer.
@@ -76,13 +74,7 @@ void BitcoinAdapter::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.tx_delivered = &registry->counter("adapter.tx_cache.delivered");
   metrics_.tx_evicted_expired = &registry->counter("adapter.tx_cache.evicted_expired");
   metrics_.tx_evicted_delivered = &registry->counter("adapter.tx_cache.evicted_delivered");
-  metrics_.recent_tx_pool = &registry->gauge("adapter.recent_tx_pool");
   metrics_.recon_sketches_answered = &registry->counter("adapter.recon.sketches_answered");
-  metrics_.recon_txs_learned = &registry->counter("adapter.recon.txs_learned");
-  metrics_.cmpct_received = &registry->counter("adapter.cmpct.received");
-  metrics_.cmpct_reconstructed = &registry->counter("adapter.cmpct.reconstructed");
-  metrics_.cmpct_fallback_getblocktxn = &registry->counter("adapter.cmpct.fallback.getblocktxn");
-  metrics_.cmpct_fallback_full = &registry->counter("adapter.cmpct.fallback.full");
   metrics_.peers->set(static_cast<std::int64_t>(connections_.size()));
   metrics_.header_height->set(tree_.best_height());
   metrics_.blocks_stored->set(static_cast<std::int64_t>(blocks_.size()));
@@ -148,7 +140,7 @@ void BitcoinAdapter::maintain() {
     }
     pending.last_request = network_->sim().now();
     pending.asked = *peer;
-    network_->send(id_, *peer, MsgGetData{{hash}, {}, config_.compact_block_fetch});
+    network_->send(id_, *peer, MsgGetData{{hash}, {}});
   }
 
   maintenance_timer_ =
@@ -224,16 +216,13 @@ void BitcoinAdapter::deliver(NodeId from, const Message& msg) {
           handle_get_data(from, m);
         } else if constexpr (std::is_same_v<T, MsgAddr>) {
           handle_addr(m);
-        } else if constexpr (std::is_same_v<T, MsgTx>) {
-          handle_tx(m);
         } else if constexpr (std::is_same_v<T, btcnet::MsgCmpctBlock>) {
-          handle_cmpct_block(from, m);
-        } else if constexpr (std::is_same_v<T, btcnet::MsgBlockTxn>) {
-          handle_block_txn(from, m);
+          // A pushed compact block only announces its hash: nothing of the
+          // sketch is decoded, and the block is fetched in full with getdata
+          // once the canister's request reaches it, as after an inv.
+          handle_inv(from, MsgInv{{m.compact.header.hash()}, {}});
         } else if constexpr (std::is_same_v<T, btcnet::MsgReconSketch>) {
           handle_recon_sketch(from, m);
-        } else if constexpr (std::is_same_v<T, btcnet::MsgReconFinalize>) {
-          handle_recon_finalize(from, m);
         } else if constexpr (std::is_same_v<T, MsgGetHeaders>) {
           // The adapter is a leech: it does not serve headers.
         }
@@ -270,29 +259,14 @@ void BitcoinAdapter::handle_headers(NodeId from, const MsgHeaders& msg) {
 }
 
 void BitcoinAdapter::handle_inv(NodeId from, const MsgInv& msg) {
+  // Only block announcements matter: the adapter pushes canister
+  // transactions out and never pulls any in.
   for (const auto& hash : msg.block_hashes) {
     if (!tree_.contains(hash)) {
       sync_headers(from);  // learn the header (and any ancestors) first
       break;
     }
   }
-  // Transaction inventory only matters for compact block fetch: the adapter
-  // then maintains a pool of recently relayed transactions to reconstruct
-  // compact blocks from. Otherwise it only pushes canister transactions out.
-  if (!config_.compact_block_fetch) return;
-  MsgGetData request;
-  for (const auto& txid : msg.tx_ids) observe_tx_announcement(from, txid, request);
-  if (!request.tx_ids.empty()) network_->send(id_, from, std::move(request));
-}
-
-void BitcoinAdapter::observe_tx_announcement(NodeId from, const Hash256& txid,
-                                             MsgGetData& request) {
-  (void)from;
-  if (recent_txs_.contains(txid) || tx_cache_.contains(txid) || requested_txs_.contains(txid)) {
-    return;
-  }
-  requested_txs_.insert(txid);
-  request.tx_ids.push_back(txid);
 }
 
 void BitcoinAdapter::handle_recon_sketch(NodeId from, const btcnet::MsgReconSketch& msg) {
@@ -308,30 +282,6 @@ void BitcoinAdapter::handle_recon_sketch(NodeId from, const btcnet::MsgReconSket
   network_->send(id_, from, std::move(reply));
 }
 
-void BitcoinAdapter::handle_recon_finalize(NodeId from, const btcnet::MsgReconFinalize& msg) {
-  // The initiator's exclusive transactions: pull them into the recent pool
-  // (the reconciliation-era replacement for learning the mempool via
-  // flooded invs).
-  if (!config_.compact_block_fetch) return;
-  MsgGetData request;
-  for (const auto& txid : msg.tx_ids) observe_tx_announcement(from, txid, request);
-  if (metrics_.recon_txs_learned != nullptr) {
-    metrics_.recon_txs_learned->inc(request.tx_ids.size());
-  }
-  if (!request.tx_ids.empty()) network_->send(id_, from, std::move(request));
-}
-
-void BitcoinAdapter::handle_tx(const btcnet::MsgTx& msg) {
-  Hash256 txid = msg.tx.txid();
-  requested_txs_.erase(txid);
-  if (!config_.compact_block_fetch || !msg.tx.is_well_formed()) return;
-  recent_txs_.emplace(txid,
-                      RecentTx{msg.tx, network_->sim().now() + kRecentTxExpiry});
-  if (metrics_.recent_tx_pool != nullptr) {
-    metrics_.recent_tx_pool->set(static_cast<std::int64_t>(recent_txs_.size()));
-  }
-}
-
 void BitcoinAdapter::handle_block(const MsgBlock& msg) {
   Hash256 hash = msg.block.hash();
   if (!pending_blocks_.contains(hash) && blocks_.contains(hash)) return;
@@ -339,105 +289,13 @@ void BitcoinAdapter::handle_block(const MsgBlock& msg) {
   // The header must be known and valid; unknown headers were requested via
   // sync, so simply drop blocks that do not fit the tree yet.
   if (!tree_.contains(hash)) return;
-  store_block(msg.block);
-}
-
-void BitcoinAdapter::store_block(bitcoin::Block block) {
-  Hash256 hash = block.hash();
-  blocks_.emplace(hash, std::make_shared<const bitcoin::Block>(std::move(block)));
+  blocks_.emplace(hash, std::make_shared<const bitcoin::Block>(msg.block));
   pending_blocks_.erase(hash);
-  pending_compact_.erase(hash);
   if (metrics_.blocks_received != nullptr) {
     metrics_.blocks_received->inc();
     metrics_.blocks_stored->set(static_cast<std::int64_t>(blocks_.size()));
     metrics_.pending_block_requests->set(static_cast<std::int64_t>(pending_blocks_.size()));
   }
-}
-
-void BitcoinAdapter::fetch_full_block(const Hash256& hash, NodeId peer) {
-  pending_compact_.erase(hash);
-  if (tracer_ != nullptr) {
-    tracer_->event(obs::Severity::kWarn, "adapter.cmpct_fallback_full",
-                   "compact reconstruction failed; re-requesting full block");
-  }
-  if (metrics_.cmpct_fallback_full != nullptr) metrics_.cmpct_fallback_full->inc();
-  // Keep the pending entry hot so the retry loop does not immediately fire a
-  // second (compact) request alongside this explicit full one.
-  auto pending = pending_blocks_.find(hash);
-  if (pending != pending_blocks_.end()) {
-    pending->second.last_request = network_->sim().now();
-    pending->second.asked = peer;
-  }
-  network_->send(id_, peer, MsgGetData{{hash}, {}, /*compact_blocks=*/false});
-}
-
-void BitcoinAdapter::handle_cmpct_block(NodeId from, const btcnet::MsgCmpctBlock& msg) {
-  const reconcile::CompactBlock& cb = msg.compact;
-  Hash256 hash = cb.header.hash();
-  if (metrics_.cmpct_received != nullptr) metrics_.cmpct_received->inc();
-  if (blocks_.contains(hash) || pending_compact_.contains(hash)) return;
-  // The header must fit the tree, as with full blocks. It may not have
-  // arrived through header sync yet, so try to connect it directly and fall
-  // back to a locator round; the pending-block retry loop re-requests the
-  // block once the ancestry is known.
-  if (!tree_.contains(hash)) {
-    auto result = tree_.accept(cb.header, now_s());
-    if (result == chain::AcceptResult::kInvalid) return;
-    if (result == chain::AcceptResult::kOrphan) {
-      sync_headers(from);
-      return;
-    }
-    if (metrics_.headers_accepted != nullptr) {
-      metrics_.headers_accepted->inc();
-      metrics_.header_height->set(tree_.best_height());
-    }
-  }
-
-  std::vector<const bitcoin::Transaction*> pool;
-  pool.reserve(recent_txs_.size() + tx_cache_.size());
-  for (const auto& [txid, recent] : recent_txs_) pool.push_back(&recent.tx);
-  for (const auto& [txid, cached] : tx_cache_) pool.push_back(&cached.tx);
-  obs::ScopedSpan span(tracer_, "adapter.cmpct_decode", "reconcile");
-  span.attr("sketch_cells", static_cast<std::uint64_t>(cb.sketch.cell_count()));
-  span.attr("pool", static_cast<std::uint64_t>(pool.size()));
-  auto decode = reconcile::CompactBlockCodec::decode(cb, pool);
-
-  if (decode.complete()) {
-    auto block = reconcile::CompactBlockCodec::assemble(cb, decode);
-    if (block && block->is_well_formed()) {
-      span.attr("outcome", "reconstructed");
-      if (metrics_.cmpct_reconstructed != nullptr) metrics_.cmpct_reconstructed->inc();
-      store_block(std::move(*block));
-    } else {
-      span.attr("outcome", "fallback_full");
-      fetch_full_block(hash, from);
-    }
-    return;
-  }
-  span.attr("outcome", "getblocktxn");
-  span.attr("missing", static_cast<std::uint64_t>(decode.missing.size()));
-  if (metrics_.cmpct_fallback_getblocktxn != nullptr) {
-    metrics_.cmpct_fallback_getblocktxn->inc();
-  }
-  btcnet::MsgGetBlockTxn request{hash, decode.missing};
-  pending_compact_.emplace(hash, PendingCompact{cb, std::move(decode), from});
-  network_->send(id_, from, std::move(request));
-}
-
-void BitcoinAdapter::handle_block_txn(NodeId from, const btcnet::MsgBlockTxn& msg) {
-  auto it = pending_compact_.find(msg.block_hash);
-  if (it == pending_compact_.end()) return;
-  if (!reconcile::CompactBlockCodec::fill(it->second.decode, msg.transactions)) {
-    fetch_full_block(msg.block_hash, from);
-    return;
-  }
-  auto block = reconcile::CompactBlockCodec::assemble(it->second.compact, it->second.decode);
-  if (block && block->is_well_formed()) {
-    if (metrics_.cmpct_reconstructed != nullptr) metrics_.cmpct_reconstructed->inc();
-    store_block(std::move(*block));
-    return;
-  }
-  fetch_full_block(msg.block_hash, from);
 }
 
 void BitcoinAdapter::handle_get_data(NodeId from, const MsgGetData& msg) {
@@ -461,7 +319,7 @@ void BitcoinAdapter::request_block(const Hash256& hash) {
   if (peer) {
     pending.last_request = network_->sim().now();
     pending.asked = *peer;
-    network_->send(id_, *peer, MsgGetData{{hash}, {}, config_.compact_block_fetch});
+    network_->send(id_, *peer, MsgGetData{{hash}, {}});
   }
   pending_blocks_.emplace(hash, pending);
   if (metrics_.pending_block_requests != nullptr) {
@@ -499,10 +357,6 @@ void BitcoinAdapter::expire_transactions() {
   });
   if (metrics_.tx_cache_size != nullptr) {
     metrics_.tx_cache_size->set(static_cast<std::int64_t>(tx_cache_.size()));
-  }
-  std::erase_if(recent_txs_, [&](const auto& entry) { return entry.second.expires <= now; });
-  if (metrics_.recent_tx_pool != nullptr) {
-    metrics_.recent_tx_pool->set(static_cast<std::int64_t>(recent_txs_.size()));
   }
 }
 

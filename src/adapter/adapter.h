@@ -19,8 +19,6 @@
 #include "chain/header_tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "reconcile/compact_block.h"
-#include "reconcile/recon_set.h"
 
 namespace icbtc::adapter {
 
@@ -40,11 +38,6 @@ struct AdapterConfig {
   /// are required for the §IV-A downtime defence). The production adapter
   /// hardcodes a mainnet height; harnesses set it per experiment.
   int multi_block_below_height = 0;
-  /// Fetch blocks as compact blocks (header + short ids + IBLT sketch, see
-  /// src/reconcile), reconstructed from a pool of recently relayed
-  /// transactions the adapter starts tracking when this is on. Falls back to
-  /// full blocks when reconstruction fails.
-  bool compact_block_fetch = false;
 
   static AdapterConfig for_params(const bitcoin::ChainParams& params);
 };
@@ -100,8 +93,9 @@ class BitcoinAdapter : public btcnet::Endpoint {
   AdapterResponse handle_request(const AdapterRequest& request);
 
   /// Attaches a metrics registry (nullptr detaches): peer connections,
-  /// header-sync progress, block-request retries, tx-cache size/evictions,
-  /// and the "adapter.handle_request" SLO record (see obs/slo.h): each
+  /// header-sync progress, full-block requests, receipts and retries,
+  /// tx-cache size/evictions, reconciliation sketches answered, and the
+  /// "adapter.handle_request" SLO record (see obs/slo.h): each
   /// Algorithm 1 round-trip's modelled serving latency in
   /// `adapter.handle_request.latency_us` (µs; a base cost plus per-byte and
   /// per-header terms, a model of adapter-side work rather than a wall-clock
@@ -110,9 +104,8 @@ class BitcoinAdapter : public btcnet::Endpoint {
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches a tracer (nullptr detaches): an "adapter.handle_request" span
-  /// per Algorithm 1 round-trip, compact-decode spans with their outcome,
-  /// and flight-recorder events for block-request retries and full-block
-  /// fallbacks.
+  /// per Algorithm 1 round-trip and flight-recorder events for block-request
+  /// retries.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // Introspection.
@@ -122,7 +115,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   std::vector<btcnet::NodeId> connected_peers() const;
   bool has_block(const util::Hash256& hash) const { return blocks_.contains(hash); }
   std::size_t cached_transactions() const { return tx_cache_.size(); }
-  std::size_t recent_tx_pool() const { return recent_txs_.size(); }
   std::size_t blocks_stored() const { return blocks_.size(); }
   bool in_discovery() const { return discovering_; }
 
@@ -140,19 +132,7 @@ class BitcoinAdapter : public btcnet::Endpoint {
   void handle_block(const btcnet::MsgBlock& msg);
   void handle_get_data(btcnet::NodeId from, const btcnet::MsgGetData& msg);
   void handle_addr(const btcnet::MsgAddr& msg);
-  void handle_tx(const btcnet::MsgTx& msg);
-  void handle_cmpct_block(btcnet::NodeId from, const btcnet::MsgCmpctBlock& msg);
-  void handle_block_txn(btcnet::NodeId from, const btcnet::MsgBlockTxn& msg);
   void handle_recon_sketch(btcnet::NodeId from, const btcnet::MsgReconSketch& msg);
-  void handle_recon_finalize(btcnet::NodeId from, const btcnet::MsgReconFinalize& msg);
-  /// Requests an unknown transaction into the recent pool (compact fetch /
-  /// reconciliation observation path).
-  void observe_tx_announcement(btcnet::NodeId from, const util::Hash256& txid,
-                               btcnet::MsgGetData& request);
-  /// Stores a fully validated block and clears its pending-request entry.
-  void store_block(bitcoin::Block block);
-  /// Re-requests `hash` as a full block after compact reconstruction failed.
-  void fetch_full_block(const util::Hash256& hash, btcnet::NodeId peer);
   void request_block(const util::Hash256& hash);
   void advertise_transactions();
   void expire_transactions();
@@ -196,23 +176,6 @@ class BitcoinAdapter : public btcnet::Endpoint {
   };
   std::unordered_map<util::Hash256, CachedTx> tx_cache_;
 
-  // Compact block fetch (config_.compact_block_fetch): recently relayed
-  // transactions pulled from peer invs, used as the reconstruction pool.
-  struct RecentTx {
-    bitcoin::Transaction tx;
-    util::SimTime expires;
-  };
-  std::unordered_map<util::Hash256, RecentTx> recent_txs_;
-  std::unordered_set<util::Hash256> requested_txs_;
-
-  // Compact blocks waiting for a getblocktxn answer.
-  struct PendingCompact {
-    reconcile::CompactBlock compact;
-    reconcile::CompactBlockCodec::Decode decode;
-    btcnet::NodeId from = btcnet::kInvalidNode;
-  };
-  std::unordered_map<util::Hash256, PendingCompact> pending_compact_;
-
   // Optional observability hooks; all nullptr when no registry is attached.
   struct Metrics {
     obs::Gauge* peers = nullptr;
@@ -232,13 +195,7 @@ class BitcoinAdapter : public btcnet::Endpoint {
     obs::Counter* tx_delivered = nullptr;
     obs::Counter* tx_evicted_expired = nullptr;
     obs::Counter* tx_evicted_delivered = nullptr;
-    obs::Gauge* recent_tx_pool = nullptr;
-    obs::Counter* cmpct_received = nullptr;
-    obs::Counter* cmpct_reconstructed = nullptr;
-    obs::Counter* cmpct_fallback_getblocktxn = nullptr;
-    obs::Counter* cmpct_fallback_full = nullptr;
     obs::Counter* recon_sketches_answered = nullptr;
-    obs::Counter* recon_txs_learned = nullptr;
   };
   Metrics metrics_;
   obs::Tracer* tracer_ = nullptr;

@@ -44,9 +44,6 @@ struct MsgHeaders {
 struct MsgGetData {
   std::vector<util::Hash256> block_hashes;
   std::vector<util::Hash256> tx_ids;
-  /// When set, the peer answers block requests with MsgCmpctBlock instead of
-  /// MsgBlock (the adapter's opt-in compact block fetch).
-  bool compact_blocks = false;
 };
 
 struct MsgBlock {

@@ -26,6 +26,7 @@ std::size_t message_size(const Message& msg) {
     std::size_t operator()(const MsgGetHeaders& m) const { return 8 + 32 * (m.locator.size() + 1); }
     std::size_t operator()(const MsgHeaders& m) const { return 8 + 81 * m.headers.size(); }
     std::size_t operator()(const MsgGetData& m) const {
+      // The header's 8 bytes plus the message's count byte.
       return 9 + 36 * (m.block_hashes.size() + m.tx_ids.size());
     }
     std::size_t operator()(const MsgBlock& m) const { return 8 + m.block.size(); }

@@ -78,7 +78,6 @@ class Network {
   bool connected(NodeId a, NodeId b) const;
   std::vector<NodeId> peers_of(NodeId id) const;
   bool exists(NodeId id) const { return endpoints_.contains(id); }
-  const NetAddress& address_of(NodeId id) const { return addresses_.at(id); }
 
   /// Sends `msg` from `from` to `to`; silently dropped if the two are not
   /// connected at send time (as a TCP reset would).
@@ -86,7 +85,6 @@ class Network {
 
   /// Partitions: while set, messages between the two groups are dropped.
   void set_partitioned(NodeId id, bool partitioned);
-  bool is_partitioned(NodeId id) const { return partitioned_.contains(id); }
 
   std::size_t message_count() const { return messages_sent_; }
   std::size_t bytes_sent() const { return bytes_sent_; }

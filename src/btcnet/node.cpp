@@ -264,17 +264,7 @@ void BitcoinNode::handle_get_data(NodeId from, const MsgGetData& msg) {
       missing.block_hashes.push_back(hash);
       continue;
     }
-    if (msg.compact_blocks) {
-      MsgCmpctBlock compact = make_compact(it->second);
-      if (metrics_.cmpct_sent != nullptr) {
-        metrics_.cmpct_sent->inc();
-        metrics_.cmpct_bytes_sketch->inc(compact.compact.wire_size());
-        metrics_.cmpct_bytes_full_equiv->inc(it->second.size());
-      }
-      network_->send(id_, from, std::move(compact));
-    } else {
-      network_->send(id_, from, MsgBlock{it->second});
-    }
+    network_->send(id_, from, MsgBlock{it->second});
   }
   for (const auto& txid : msg.tx_ids) {
     auto it = mempool_.find(txid);
@@ -466,7 +456,6 @@ bool BitcoinNode::accept_block(const Block& block, NodeId from) {
   }
   // kAccepted or kDuplicate (header known, block was missing): store it.
   blocks_.emplace(hash, block);
-  ++blocks_accepted_;
 
   update_active_chain();
   relay_block_inv(hash, from);

@@ -125,7 +125,6 @@ class BitcoinNode : public Endpoint {
   void on_connected(NodeId peer) override;
   void on_disconnected(NodeId peer) override;
 
-  std::size_t blocks_accepted() const { return blocks_accepted_; }
   std::size_t reorg_count() const { return reorg_count_; }
 
   /// Attaches a metrics registry (nullptr detaches): mempool flow (size,
@@ -289,7 +288,6 @@ class BitcoinNode : public Endpoint {
 
   reconcile::DivergenceEstimator estimator_;
 
-  std::size_t blocks_accepted_ = 0;
   std::size_t reorg_count_ = 0;
 
   // Optional observability hooks; all nullptr when no registry is attached.

@@ -75,113 +75,86 @@ void BitcoinIntegration::on_round(const ic::RoundInfo& info) {
   canister_.process_response(*response, now_s);
 }
 
-std::size_t BitcoinIntegration::utxos_response_bytes(
-    const Outcome<GetUtxosResponse>& outcome) {
+namespace {
+/// Modelled certified response sizes.
+std::size_t response_bytes(const Outcome<GetUtxosResponse>& outcome) {
   if (!outcome.ok()) return 16;
   // outpoint (36) + value (8) + height (4) per UTXO, plus tip metadata.
   return 48 * outcome.value.utxos.size() + 44;
 }
+std::size_t response_bytes(const Outcome<bitcoin::Amount>&) { return 16; }
+std::size_t response_bytes(Status) { return 8; }
 
-namespace {
-/// Binds a finished client call to its trace: attrs on the root request
-/// span (ended at the modelled call latency) plus one RequestCostRecord —
-/// a Fig. 7 data point.
+Status status_of(Status status) { return status; }
 template <typename T>
-void finish_request_trace(obs::ScopedSpan& span, const char* endpoint,
-                          const CallResult<T>& result) {
-  if (!span.active()) return;
+Status status_of(const Outcome<T>& outcome) {
+  return outcome.status;
+}
+}  // namespace
+
+template <typename Endpoint>
+CallResult<std::invoke_result_t<Endpoint&>> BitcoinIntegration::call(const char* span_name,
+                                                                     const char* record_name,
+                                                                     bool replicated,
+                                                                     Endpoint&& endpoint) {
+  CallResult<std::invoke_result_t<Endpoint&>> result;
+  obs::ScopedSpan span(tracer_, span_name, "request");
+  span.attr("kind", replicated ? "replicated" : "query");
+  ic::InstructionMeter::Segment segment(canister_.meter());
+  result.outcome = endpoint();
+  result.instructions = segment.sample();
+  result.response_bytes = response_bytes(result.outcome);
+  if (replicated) {
+    result.latency = subnet_->sample_update_latency(result.instructions);
+    result.cycles = subnet_->config().cost_model.update_cost_cycles(result.instructions,
+                                                                    result.response_bytes);
+  } else {
+    result.latency = subnet_->sample_query_latency(result.instructions);
+    result.cycles = subnet_->config().cost_model.query_base;  // queries are free
+  }
+  span.attr("status", to_string(status_of(result.outcome)));
+  // Bind the finished call to its trace: attrs on the root span (ended at
+  // the modelled call latency) plus one RequestCostRecord, a Fig. 7 data
+  // point.
+  if (!span.active()) return result;
   span.attr("latency_us", static_cast<std::int64_t>(result.latency));
   span.attr("instructions", result.instructions);
   span.attr("response_bytes", static_cast<std::uint64_t>(result.response_bytes));
   span.attr("cycles", result.cycles);
-  obs::Tracer* tracer = span.tracer();
-  tracer->record_request_cost(obs::RequestCostRecord{
-      endpoint, span.context().trace_id, result.latency, result.instructions,
+  span.tracer()->record_request_cost(obs::RequestCostRecord{
+      record_name, span.context().trace_id, result.latency, result.instructions,
       static_cast<std::uint64_t>(result.response_bytes), result.cycles});
   span.end_at(span.start() + result.latency);
+  return result;
 }
-}  // namespace
 
 CallResult<Outcome<GetUtxosResponse>> BitcoinIntegration::replicated_get_utxos(
     const GetUtxosRequest& request) {
-  CallResult<Outcome<GetUtxosResponse>> result;
-  obs::ScopedSpan span(tracer_, "request.get_utxos", "request");
-  span.attr("kind", "replicated");
-  ic::InstructionMeter::Segment segment(canister_.meter());
-  result.outcome = canister_.get_utxos(request);
-  result.instructions = segment.sample();
-  result.response_bytes = utxos_response_bytes(result.outcome);
-  result.latency = subnet_->sample_update_latency(result.instructions);
-  result.cycles = subnet_->config().cost_model.update_cost_cycles(result.instructions,
-                                                                  result.response_bytes);
-  span.attr("status", to_string(result.outcome.status));
-  finish_request_trace(span, "get_utxos", result);
-  return result;
+  return call("request.get_utxos", "get_utxos", /*replicated=*/true,
+              [&] { return canister_.get_utxos(request); });
 }
 
 CallResult<Outcome<GetUtxosResponse>> BitcoinIntegration::query_get_utxos(
     const GetUtxosRequest& request) {
-  CallResult<Outcome<GetUtxosResponse>> result;
-  obs::ScopedSpan span(tracer_, "request.get_utxos", "request");
-  span.attr("kind", "query");
-  ic::InstructionMeter::Segment segment(canister_.meter());
-  result.outcome = canister_.get_utxos(request);
-  result.instructions = segment.sample();
-  result.response_bytes = utxos_response_bytes(result.outcome);
-  result.latency = subnet_->sample_query_latency(result.instructions);
-  result.cycles = subnet_->config().cost_model.query_base;  // queries are free
-  span.attr("status", to_string(result.outcome.status));
-  finish_request_trace(span, "get_utxos.query", result);
-  return result;
+  return call("request.get_utxos", "get_utxos.query", /*replicated=*/false,
+              [&] { return canister_.get_utxos(request); });
 }
 
 CallResult<Outcome<bitcoin::Amount>> BitcoinIntegration::replicated_get_balance(
     const std::string& address, int min_confirmations) {
-  CallResult<Outcome<bitcoin::Amount>> result;
-  obs::ScopedSpan span(tracer_, "request.get_balance", "request");
-  span.attr("kind", "replicated");
-  ic::InstructionMeter::Segment segment(canister_.meter());
-  result.outcome = canister_.get_balance(address, min_confirmations);
-  result.instructions = segment.sample();
-  result.response_bytes = 16;
-  result.latency = subnet_->sample_update_latency(result.instructions);
-  result.cycles = subnet_->config().cost_model.update_cost_cycles(result.instructions,
-                                                                  result.response_bytes);
-  span.attr("status", to_string(result.outcome.status));
-  finish_request_trace(span, "get_balance", result);
-  return result;
+  return call("request.get_balance", "get_balance", /*replicated=*/true,
+              [&] { return canister_.get_balance(address, min_confirmations); });
 }
 
 CallResult<Outcome<bitcoin::Amount>> BitcoinIntegration::query_get_balance(
     const std::string& address, int min_confirmations) {
-  CallResult<Outcome<bitcoin::Amount>> result;
-  obs::ScopedSpan span(tracer_, "request.get_balance", "request");
-  span.attr("kind", "query");
-  ic::InstructionMeter::Segment segment(canister_.meter());
-  result.outcome = canister_.get_balance(address, min_confirmations);
-  result.instructions = segment.sample();
-  result.response_bytes = 16;
-  result.latency = subnet_->sample_query_latency(result.instructions);
-  result.cycles = subnet_->config().cost_model.query_base;
-  span.attr("status", to_string(result.outcome.status));
-  finish_request_trace(span, "get_balance.query", result);
-  return result;
+  return call("request.get_balance", "get_balance.query", /*replicated=*/false,
+              [&] { return canister_.get_balance(address, min_confirmations); });
 }
 
 CallResult<Status> BitcoinIntegration::replicated_send_transaction(const util::Bytes& raw_tx) {
-  CallResult<Status> result;
-  obs::ScopedSpan span(tracer_, "request.send_transaction", "request");
-  span.attr("kind", "replicated");
-  ic::InstructionMeter::Segment segment(canister_.meter());
-  result.outcome = canister_.send_transaction(raw_tx);
-  result.instructions = segment.sample();
-  result.response_bytes = 8;
-  result.latency = subnet_->sample_update_latency(result.instructions);
-  result.cycles = subnet_->config().cost_model.update_cost_cycles(result.instructions,
-                                                                  result.response_bytes);
-  span.attr("status", to_string(result.outcome));
-  finish_request_trace(span, "send_transaction", result);
-  return result;
+  return call("request.send_transaction", "send_transaction", /*replicated=*/true,
+              [&] { return canister_.send_transaction(raw_tx); });
 }
 
 }  // namespace icbtc::canister

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 
 #include "adapter/adapter.h"
 #include "canister/bitcoin_canister.h"
@@ -75,7 +76,6 @@ class BitcoinIntegration {
   /// Pauses/resumes the canister's request loop (models canister downtime,
   /// the precondition of the Lemma IV.3 attack).
   void set_canister_down(bool down) { canister_down_ = down; }
-  bool canister_down() const { return canister_down_; }
 
   // ---- Client-side calls with the paper's latency & cost models ----
 
@@ -91,7 +91,13 @@ class BitcoinIntegration {
 
  private:
   void on_round(const ic::RoundInfo& info);
-  static std::size_t utxos_response_bytes(const Outcome<GetUtxosResponse>& outcome);
+  /// One client call: runs `endpoint` on the canister under a root
+  /// `span_name` span, meters it, samples the replicated or query latency
+  /// and cycle cost, and records a RequestCostRecord named `record_name`.
+  template <typename Endpoint>
+  CallResult<std::invoke_result_t<Endpoint&>> call(const char* span_name,
+                                                   const char* record_name, bool replicated,
+                                                   Endpoint&& endpoint);
 
   ic::Subnet* subnet_;
   btcnet::Network* bitcoin_network_;

@@ -242,11 +242,6 @@ class UtxoIndex {
   /// latency (critical-path instructions at the canister's 2000/µs rate).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Pushes the size/memory/shard gauges to the registry. insert/remove no
-  /// longer update gauges per mutation; batch callers (apply_block, the
-  /// canister's ingestion loop) flush once per block instead.
-  void flush_size_gauges() { update_size_gauges(); }
-
   /// Deterministic digest of the entire UTXO set: sha256d of encode().
   /// Independent of insertion order, hash-map iteration order, AND shard
   /// count — serial and shard-parallel ingestion at any configuration must

@@ -15,6 +15,16 @@ namespace icbtc::ic {
 /// clocks).
 inline constexpr std::uint64_t kInstructionsPerUs = 2000;
 
+/// Simulated per-instruction execution time (ns) of a call as its caller
+/// sees it: the subnet's update and query latency samples add this per
+/// metered instruction, which drives the response-size dependence in Fig. 7.
+/// It disagrees with kInstructionsPerUs (1.2 ns is ~833 instructions/µs, not
+/// 2000), so a call's execution reads 2.4x longer in its CallResult latency,
+/// `request.<endpoint>` span and RequestCostRecord than in its own canister
+/// span and latency histogram. Every Fig. 7 latency and trace byte depends
+/// on both values, so they are kept as they are.
+inline constexpr double kNsPerInstruction = 1.2;
+
 class InstructionMeter {
  public:
   void charge(std::uint64_t instructions) { count_ += instructions; }

@@ -8,6 +8,19 @@
 namespace icbtc::ic {
 
 namespace {
+/// Nominal consensus round duration, before `round_jitter`.
+constexpr util::SimTime kRoundInterval = util::kSecond;
+
+// Replicated (update) call latency components, calibrated to the paper's
+// mainnet measurements (min ~7s, mean <10s, p90 ~18s for cross-subnet calls
+// to the Bitcoin canister).
+constexpr util::SimTime kUpdateBaseLatency = 4 * util::kSecond;  // ingress + xnet routing
+constexpr std::uint32_t kUpdateRounds = 3;                         // induction..certification
+constexpr double kUpdateLatencyJitter = 0.6;                       // long-tailed share
+
+// Query latency: single-replica execution, no consensus.
+constexpr util::SimTime kQueryBaseLatency = 120 * util::kMillisecond;  // network + scheduling
+
 crypto::ThresholdEcdsaServiceConfig ecdsa_service_config(const SubnetConfig& config) {
   crypto::ThresholdEcdsaServiceConfig ec;
   ec.pool_depth = config.ecdsa_presig_depth;
@@ -56,7 +69,7 @@ void Subnet::stop() {
 
 void Subnet::schedule_next_round() {
   double jitter = 1.0 + config_.round_jitter * (2.0 * rng_.next_double() - 1.0);
-  auto delay = static_cast<util::SimTime>(static_cast<double>(config_.round_interval) * jitter);
+  auto delay = static_cast<util::SimTime>(static_cast<double>(kRoundInterval) * jitter);
   pending_ = sim_->schedule(delay, [this] { run_round(); });
 }
 
@@ -71,7 +84,7 @@ void Subnet::run_round() {
   util::SimTime now = sim_->now();
   std::uint64_t gap_us = last_round_time_ >= 0
                              ? static_cast<std::uint64_t>(now - last_round_time_)
-                             : static_cast<std::uint64_t>(config_.round_interval);
+                             : static_cast<std::uint64_t>(kRoundInterval);
   last_round_time_ = now;
   if (metrics_.rounds != nullptr) {
     metrics_.rounds->inc();
@@ -122,19 +135,17 @@ util::SimTime Subnet::sample_update_latency(std::uint64_t instructions) {
   // Consensus-dominated: base (ingress + cross-subnet routing) plus a few
   // rounds, plus a long-tailed component; execution time itself is minor but
   // large responses add certification work.
-  double rounds = static_cast<double>(config_.update_rounds) *
-                  static_cast<double>(config_.round_interval);
-  double exec_ns = config_.ns_per_instruction * static_cast<double>(instructions);
-  double base = static_cast<double>(config_.update_base_latency) + rounds +
-                exec_ns / 1000.0;  // ns -> us
+  double rounds = static_cast<double>(kUpdateRounds) * static_cast<double>(kRoundInterval);
+  double exec_ns = kNsPerInstruction * static_cast<double>(instructions);
+  double base = static_cast<double>(kUpdateBaseLatency) + rounds + exec_ns / 1000.0;  // ns -> us
   // Long tail: exponential surcharge (retries, queueing, xnet batching).
-  double tail = rng_.next_exponential(config_.update_latency_jitter * base);
+  double tail = rng_.next_exponential(kUpdateLatencyJitter * base);
   return static_cast<util::SimTime>(base + tail);
 }
 
 util::SimTime Subnet::sample_query_latency(std::uint64_t instructions) {
-  double exec_ns = config_.ns_per_instruction * static_cast<double>(instructions);
-  double base = static_cast<double>(config_.query_base_latency) + exec_ns / 1000.0;
+  double exec_ns = kNsPerInstruction * static_cast<double>(instructions);
+  double base = static_cast<double>(kQueryBaseLatency) + exec_ns / 1000.0;
   double jitter = rng_.next_exponential(0.25 * base);
   return static_cast<util::SimTime>(base + jitter);
 }
@@ -142,22 +153,14 @@ util::SimTime Subnet::sample_query_latency(std::uint64_t instructions) {
 util::SimTime Subnet::sample_signing_latency() {
   // Threshold signing needs additional consensus rounds to agree on the
   // presignature and deliver shares.
-  double base = 2.0 * static_cast<double>(config_.round_interval);
+  double base = 2.0 * static_cast<double>(kRoundInterval);
   double tail = rng_.next_exponential(0.5 * base);
   return static_cast<util::SimTime>(base + tail);
 }
 
 crypto::SchnorrSignature Subnet::sign_with_schnorr(const util::Hash256& message,
                                                    const crypto::SchnorrDerivationPath& path) {
-  std::vector<std::uint32_t> participants;
-  for (std::uint32_t i = 0; i < config_.num_nodes && participants.size() < config_.threshold();
-       ++i) {
-    if (!byzantine_[i]) participants.push_back(i + 1);
-  }
-  if (participants.size() < config_.threshold()) {
-    throw std::runtime_error("sign_with_schnorr: not enough honest replicas");
-  }
-  return schnorr_.sign(message, path, participants);
+  return schnorr_.sign(message, path, honest_signing_quorum());
 }
 
 std::vector<std::uint32_t> Subnet::honest_signing_quorum() const {
@@ -165,10 +168,10 @@ std::vector<std::uint32_t> Subnet::honest_signing_quorum() const {
   std::vector<std::uint32_t> participants;
   for (std::uint32_t i = 0; i < config_.num_nodes && participants.size() < config_.threshold();
        ++i) {
-    if (!byzantine_[i]) participants.push_back(i + 1);  // tECDSA indices are 1-based
+    if (!byzantine_[i]) participants.push_back(i + 1);  // signer indices are 1-based
   }
   if (participants.size() < config_.threshold()) {
-    throw std::runtime_error("sign_with_ecdsa: not enough honest replicas");
+    throw std::runtime_error("signing quorum: not enough honest replicas");
   }
   return participants;
 }

@@ -23,21 +23,7 @@ namespace icbtc::ic {
 struct SubnetConfig {
   std::uint32_t num_nodes = 13;      // n = 3f+1
   std::uint32_t num_byzantine = 0;   // actually corrupted nodes (< n/3 assumed)
-  util::SimTime round_interval = util::kSecond;
-  double round_jitter = 0.15;  // fractional jitter on round duration
-
-  // Replicated (update) call latency components, calibrated to the paper's
-  // mainnet measurements (min ~7s, mean <10s, p90 ~18s for cross-subnet
-  // calls to the Bitcoin canister).
-  util::SimTime update_base_latency = 4 * util::kSecond;   // ingress + xnet routing
-  std::uint32_t update_rounds = 3;                          // induction..certification
-  double update_latency_jitter = 0.6;                       // long-tailed share
-
-  // Query latency: single-replica execution, no consensus.
-  util::SimTime query_base_latency = 120 * util::kMillisecond;  // network + scheduling
-  /// Simulated per-instruction execution time (ns) — drives the response-size
-  /// dependence in Fig. 7.
-  double ns_per_instruction = 1.2;
+  double round_jitter = 0.15;  // fractional jitter on the 1 s round duration
 
   CycleCostModel cost_model;
 
@@ -75,7 +61,6 @@ class Subnet {
   std::uint64_t round() const { return round_; }
   std::uint32_t current_block_maker() const { return block_maker_; }
   bool node_is_byzantine(std::uint32_t node) const;
-  bool current_maker_is_byzantine() const { return node_is_byzantine(block_maker_); }
 
   /// Registers a per-round callback (canister heartbeats / timers). Returns
   /// an id usable with unregister_heartbeat.

@@ -114,7 +114,6 @@ class Tracer {
   /// Installs the deterministic time source (e.g. `[&]{ return sim.now(); }`
   /// or an instruction-derived clock). Without a clock, now() is 0.
   void set_clock(std::function<TraceTime()> clock) { clock_ = std::move(clock); }
-  bool has_clock() const { return static_cast<bool>(clock_); }
   TraceTime now() const { return clock_ ? clock_() : 0; }
 
   // ------------------------------- Spans --------------------------------
@@ -170,7 +169,6 @@ class Tracer {
   const std::vector<SpanRecord>& finished_spans() const { return finished_; }
   /// Flight-recorder contents, oldest first.
   std::vector<TraceEvent> events() const;
-  std::size_t open_span_count() const { return open_.size(); }
   std::uint64_t dropped_spans() const { return dropped_spans_; }
   /// Total events ever recorded (>= events().size() once the ring wrapped).
   std::uint64_t total_events() const { return next_event_seq_; }

@@ -8,6 +8,7 @@
 #include "adapter/adapter.h"
 #include "btcnet/harness.h"
 #include "chain/block_builder.h"
+#include "reconcile/compact_block.h"
 
 namespace icbtc::adapter {
 namespace {
@@ -198,6 +199,44 @@ TEST_F(AdversarialAdapterTest, HonestPeerOutweighsAttacker) {
   adapter.start();
   sim_.run_until(sim_.now() + 2 * util::kMinute);
   EXPECT_EQ(adapter.header_tree().best_height(), 5);
+}
+
+TEST_F(AdversarialAdapterTest, ForgedCompactBlockIsOnlyAnAnnouncement) {
+  btcnet::BitcoinNode honest(net_, params_);
+  net_.add_dns_seed(honest.id());
+  btcnet::Miner miner(honest, 1.0, util::Rng(9));
+  sim_.run_until(sim_.now() + 700 * util::kSecond);
+  miner.mine_one();
+  const bitcoin::Block* tip = honest.get_block(honest.best_tip());
+  ASSERT_NE(tip, nullptr);
+
+  BitcoinAdapter adapter(net_, params_, config_, util::Rng(10));
+  adapter.start();
+  sim_.run_until(sim_.now() + 30 * util::kSecond);
+  ASSERT_TRUE(adapter.header_tree().contains(tip->hash()));
+  ASSERT_TRUE(net_.connected(evil_.id(), adapter.id()));
+
+  // The attacker pushes a compact block with the real header but a tampered
+  // coinbase, as freshly forged bytes (no cached txid).
+  bitcoin::Block forged = *tip;
+  forged.transactions[0].inputs[0].script_sig.push_back(0xff);
+  forged.transactions[0].invalidate_txid();
+  net_.send(evil_.id(), adapter.id(),
+            btcnet::MsgCmpctBlock{reconcile::CompactBlockCodec::encode(forged, 8)});
+  sim_.run_until(sim_.now() + 10 * util::kSecond);
+  EXPECT_FALSE(adapter.has_block(tip->hash()));  // the forgery never reaches the store
+
+  // A later sync serves the honest block.
+  AdapterRequest request;
+  request.anchor = params_.genesis_header.hash();
+  std::shared_ptr<const bitcoin::Block> served;
+  for (int i = 0; i < 10 && served == nullptr; ++i) {
+    auto response = adapter.handle_request(request);
+    if (!response.blocks.empty()) served = response.blocks[0].block;
+    sim_.run_until(sim_.now() + 10 * util::kSecond);
+  }
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->serialize(), tip->serialize());
 }
 
 }  // namespace
